@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from . import errors, hierarchy, interp, sdp
+from . import errors, hierarchy, interp, linalg, sdp
 from .extraction import (
     CONJUGATE,
     TRANSPOSE,
@@ -26,8 +27,16 @@ from .extraction import (
     feasibility_report,
     write_measure,
 )
-from .moment import classify_structure, moment_matrix, read_sequence, write_sequence
-from . import linalg
+from .moment import (
+    classify_structure,
+    hyponormality_block,
+    moment_matrix,
+    read_sequence,
+    sequence_to_text,
+    unit_index,
+    variable_pairs,
+    write_sequence,
+)
 
 EXIT_CODES = {
     errors.ParseError: 3,
@@ -48,6 +57,7 @@ EXIT_CODES = {
     errors.NotSymmetric: 19,
     errors.NoConvergence: 20,
     errors.FormatError: 21,
+    OSError: 22,
 }
 
 EXIT_HELP = """\
@@ -73,6 +83,7 @@ exit codes:
   19  matrix fails the complex-symmetry check (NotSymmetric)
   20  iterative factorization hit its sweep cap (NoConvergence)
   21  malformed solver output or SDPA text (FormatError)
+  22  input file unreadable or output file unwritable (OSError)
   1   unexpected internal error
 """
 
@@ -109,16 +120,9 @@ class Report:
 
 def _tolerances(args):
     base = Tolerances.printed() if args.tol_preset == "printed" else Tolerances()
-    overrides = {}
-    for name in ("rank_tol", "psd_tol", "shift_tol", "hypo_tol"):
-        value = getattr(args, name.replace("_tol", "_tol_flag"))
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        from dataclasses import replace
-
-        base = replace(base, **overrides)
-    return base
+    names = ("rank_tol", "psd_tol", "shift_tol", "hypo_tol")
+    flags = {name: getattr(args, f"{name}_flag") for name in names}
+    return replace(base, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _add_common(p):
@@ -176,6 +180,29 @@ def _emit(rep, args):
     sys.stdout.write(rep.render(args.format))
 
 
+def _write_or_print(text, path):
+    """Write text to path and say so, or print it when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+        sys.stdout.write(f"wrote {path}\n")
+    else:
+        sys.stdout.write(text)
+
+
+def _extract(rep, args, seq, **kwargs):
+    """extract_measure; a failure's partial report is emitted before it propagates."""
+    try:
+        return extract_measure(seq, seed=args.seed, **kwargs)
+    except errors.ExtractionError as exc:
+        if exc.report is not None:
+            _report_extraction(rep, exc.report)
+        rep.add("error", type(exc).__name__)
+        rep.add("error.detail", str(exc))
+        _emit(rep, args)
+        raise
+
+
 def cmd_extract(args):
     seq = read_sequence(args.sequence)
     tol = _tolerances(args)
@@ -185,17 +212,7 @@ def cmd_extract(args):
     rep.add("input.n", seq.n)
     rep.add("input.d", seq.d)
     rep.add("input.mode", seq.mode)
-    try:
-        measure, report = extract_measure(
-            seq, d=args.order, dk=args.gap, mode=mode, seed=args.seed, tol=tol
-        )
-    except errors.ExtractionError as exc:
-        if exc.report is not None:
-            _report_extraction(rep, exc.report)
-        rep.add("error", type(exc).__name__)
-        rep.add("error.detail", str(exc))
-        _emit(rep, args)
-        raise
+    measure, report = _extract(rep, args, seq, d=args.order, dk=args.gap, mode=mode, tol=tol)
     _report_extraction(rep, report)
     _report_measure(rep, measure)
     if args.out:
@@ -219,20 +236,15 @@ def cmd_check(args):
     rep.add("structure.hermitian", flags.hermitian)
     rep.add("structure.hankel", flags.hankel)
     rep.add("structure.toeplitz", flags.toeplitz)
-    flat = check_flatness(seq, seq.d, args.gap, tol.rank_tol)
+    sym = (mm.matrix + mm.matrix.conj().T) / 2.0
+    vals, _ = linalg.hermitian_eig(sym, tol=np.inf)
+    flat = check_flatness(seq, seq.d, args.gap, tol.rank_tol, matrix=mm.matrix, eigenvalues=vals)
     rep.add("ranks", flat.ranks)
     rep.add("flat_step1", flat.flat_1)
     rep.add("flat_gap", flat.flat_dk)
-    sym = (mm.matrix + mm.matrix.conj().T) / 2.0
-    vals, _ = linalg.hermitian_eig(sym, tol=np.inf)
     rep.add("moment_spectrum", [float(v) for v in vals])
     if seq.mode == "paired" and seq.d - args.gap >= 0:
-        from momext.moment import hyponormality_block
-
-        pairs = ([(1, 1)] if seq.n == 1 else
-                 [(i, j) for i in range(1, seq.n + 1)
-                  for j in range(i + 1, seq.n + 1)])
-        for i, j in pairs:
+        for i, j in variable_pairs(seq.n):
             blk = hyponormality_block(seq, args.gap, i, j).matrix
             bvals, _ = linalg.hermitian_eig((blk + blk.conj().T) / 2.0, tol=np.inf)
             rep.add(f"data_hypo_spectrum.{i},{j}", [float(v) for v in bvals])
@@ -277,17 +289,7 @@ def cmd_solve(args):
 
     seq = rmap.sequence_from_values(solution.variables)
     ball = any(_bounds_ball(c.poly, problem.n) for c in problem.constraints)
-    try:
-        measure, report = extract_measure(
-            seq, d=args.order, dk=problem.d_K, mode=None, seed=args.seed, tol=tol
-        )
-    except errors.ExtractionError as exc:
-        if exc.report is not None:
-            _report_extraction(rep, exc.report)
-        rep.add("error", type(exc).__name__)
-        rep.add("error.detail", str(exc))
-        _emit(rep, args)
-        raise
+    measure, report = _extract(rep, args, seq, d=args.order, dk=problem.d_K, mode=None, tol=tol)
     report.ball_constraint_seen = ball
     _report_extraction(rep, report)
     if not ball:
@@ -319,8 +321,6 @@ def _bounds_ball(poly, n):
     if poly.k != 1:
         return False
     for k in range(1, n + 1):
-        from .moment import unit_index
-
         ek = unit_index(n, k)
         if poly.terms.get((ek, ek), 0.0).real >= 0.0:
             return False
@@ -373,8 +373,6 @@ def cmd_sample(args):
         rep.add("output.samples", args.out)
         _emit(rep, args)
     else:
-        from .moment import sequence_to_text
-
         sys.stdout.write(sequence_to_text(samples))
     return 0
 
@@ -392,13 +390,7 @@ def _parse_range(spec):
 def cmd_signal(args):
     model = interp.read_model(args.model)
     ranges = [_parse_range(r) for r in args.range]
-    table = interp.emit_signal(model, ranges, which=args.part)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(table)
-        sys.stdout.write(f"wrote {args.out}\n")
-    else:
-        sys.stdout.write(table)
+    _write_or_print(interp.emit_signal(model, ranges, which=args.part), args.out)
     return 0
 
 
@@ -407,13 +399,7 @@ def cmd_export_sdpa(args):
     sdp_problem, _ = hierarchy.assemble_relaxation(
         problem, args.order, enforce_hyponormality=args.enforce_hypo
     )
-    text = hierarchy.export_sdpa(hierarchy.realify(sdp_problem))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        sys.stdout.write(f"wrote {args.out}\n")
-    else:
-        sys.stdout.write(text)
+    _write_or_print(hierarchy.export_sdpa(hierarchy.realify(sdp_problem)), args.out)
     return 0
 
 
@@ -424,13 +410,7 @@ def cmd_import_solution(args):
     )
     with open(args.solution) as fh:
         seq = hierarchy.import_solution(fh.read(), rmap)
-    if args.out:
-        write_sequence(seq, args.out)
-        sys.stdout.write(f"wrote {args.out}\n")
-    else:
-        from .moment import sequence_to_text
-
-        sys.stdout.write(sequence_to_text(seq))
+    _write_or_print(sequence_to_text(seq), args.out)
     return 0
 
 
@@ -515,7 +495,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except errors.MomextError as exc:
+    except (errors.MomextError, OSError) as exc:
         code = EXIT_CODES.get(type(exc))
         if code is None:
             for cls, mapped in EXIT_CODES.items():

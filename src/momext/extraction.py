@@ -28,16 +28,18 @@ from .errors import (
     ShiftInconsistent,
 )
 from .moment import (
-    MomentSequence,
-    enumerate_indices,
+    _fmt,
+    _sink,
+    _source_lines,
+    classify_structure,
     hyponormality_block,
-    index_add,
     index_count,
+    layout,
     localizing_matrix,
     moment_matrix,
     total_degree,
     unit_index,
-    classify_structure,
+    variable_pairs,
 )
 
 __all__ = [
@@ -182,14 +184,16 @@ class ExtractionReport:
     notes: list = field(default_factory=list)
 
 
-def check_flatness(seq, d=None, dk=1, tol=1e-7):
+def check_flatness(seq, d=None, dk=1, tol=1e-7, matrix=None, eigenvalues=None):
     """Ranks of the nested moment matrices M_0(y) .. M_d(y).
 
     Paired (Hermitian) data is ranked through its eigenvalues; Hankel data
-    is complex symmetric, so its rank comes from the singular values.
+    is complex symmetric, so its rank comes from the singular values. A
+    caller that already holds M_d(y) passes it as `matrix`, and the
+    eigenvalues of its Hermitian part as `eigenvalues`.
     """
     d = seq.d if d is None else d
-    big = moment_matrix(seq, d).matrix
+    big = moment_matrix(seq, d).matrix if matrix is None else matrix
     ranks = []
     for t in range(d + 1):
         m = index_count(seq.n, t)
@@ -197,6 +201,8 @@ def check_flatness(seq, d=None, dk=1, tol=1e-7):
         if seq.mode == "hankel":
             _, sigma = linalg.takagi((sub + sub.T) / 2.0, tol=np.inf)
             ranks.append(linalg.numeric_rank(sigma, tol))
+        elif t == d and eigenvalues is not None:
+            ranks.append(linalg.numeric_rank(eigenvalues, tol))
         else:
             vals, _ = linalg.hermitian_eig((sub + sub.conj().T) / 2.0, tol=np.inf)
             ranks.append(linalg.numeric_rank(vals, tol))
@@ -206,6 +212,7 @@ def check_flatness(seq, d=None, dk=1, tol=1e-7):
 def compute_shifts(x, labels, basis, mode, tol=1e-6):
     """Shift operators T_k with T_k x_alpha = x_{alpha+e_k} on the basis.
 
+    `labels` are the graded-lex column labels of x, every |alpha| <= d.
     The defining system uses only the basis columns; the returned residual
     is the worst relative error of the shift identity over every column of
     degree <= d-1, and exceeding `tol` raises ShiftInconsistent.
@@ -215,21 +222,19 @@ def compute_shifts(x, labels, basis, mode, tol=1e-6):
     if r == 0 or r != x.shape[0]:
         raise BasisDegenerate(f"basis of size {r} cannot drive a rank-{x.shape[0]} factor")
     n = len(labels[0])
-    pos = {a: i for i, a in enumerate(labels)}
     d = max(total_degree(a) for a in labels)
+    lay = layout(n, d)
+    for bi in basis:
+        if bi >= lay.size(d - 1):
+            raise BasisDegenerate(
+                f"basis label {labels[bi]} has no shifted column for variable 1"
+            )
+    # targets[k][i]: the column of label i shifted by e_{k+1}
+    targets = [lay.shift(unit_index(n, k), d - 1) for k in range(1, n + 1)]
     b = x[:, basis]
     shifts = []
-    for k in range(1, n + 1):
-        ek = unit_index(n, k)
-        cols = []
-        for bi in basis:
-            target = index_add(labels[bi], ek)
-            if target not in pos:
-                raise BasisDegenerate(
-                    f"basis label {labels[bi]} has no shifted column for variable {k}"
-                )
-            cols.append(pos[target])
-        s = x[:, cols]
+    for target in targets:
+        s = x[:, target[basis]]
         try:
             t = np.linalg.solve(b.T, s.T).T
         except np.linalg.LinAlgError:
@@ -238,13 +243,9 @@ def compute_shifts(x, labels, basis, mode, tol=1e-6):
 
     xnorm = max(np.linalg.norm(x), 1e-300)
     worst = 0.0
-    for k in range(1, n + 1):
-        ek = unit_index(n, k)
-        for i, a in enumerate(labels):
-            if total_degree(a) > d - 1:
-                continue
-            j = pos[index_add(a, ek)]
-            resid = np.linalg.norm(shifts[k - 1] @ x[:, i] - x[:, j])
+    for t, target in zip(shifts, targets):
+        for i, j in enumerate(target):
+            resid = np.linalg.norm(t @ x[:, i] - x[:, j])
             worst = max(worst, resid / xnorm)
     if worst > tol:
         raise ShiftInconsistent(
@@ -273,6 +274,15 @@ def operator_hypo_block(ti, tj):
     )
 
 
+def _max_commutator(ops):
+    """Largest Frobenius norm of a pairwise commutator among ops."""
+    comm = 0.0
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            comm = max(comm, np.linalg.norm(ops[i] @ ops[j] - ops[j] @ ops[i]))
+    return comm
+
+
 def check_hyponormality(shifts, tol=1e-6):
     """Operator-level joint hyponormality test.
 
@@ -284,11 +294,7 @@ def check_hyponormality(shifts, tol=1e-6):
     ts = [np.asarray(t, dtype=complex) for t in shifts.shifts]
     n = len(ts)
     scale = max(1.0, max(np.linalg.norm(t, 2) for t in ts) ** 2)
-    ops = ts + [t.conj().T for t in ts]
-    comm = 0.0
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            comm = max(comm, np.linalg.norm(ops[i] @ ops[j] - ops[j] @ ops[i]))
+    comm = _max_commutator(ts + [t.conj().T for t in ts])
     if n == 1:
         t = ts[0]
         block = np.block([[np.eye(t.shape[0], dtype=complex), t.conj().T], [t, t.conj().T @ t]])
@@ -307,20 +313,6 @@ def check_hyponormality(shifts, tol=1e-6):
     )
 
 
-def _cluster_bounds(values, width):
-    """Split sorted real values into clusters of gap <= width."""
-    bounds = []
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i + 1
-        while j < n and values[j] - values[j - 1] <= width:
-            j += 1
-        bounds.append((i, j))
-        i = j
-    return bounds
-
-
 def _unitary_diagonalizer(a, offdiag_tol):
     """Unitary P with P^* a P diagonal, for (numerically) normal a.
 
@@ -333,7 +325,7 @@ def _unitary_diagonalizer(a, offdiag_tol):
     k = (a - a.conj().T) / 2.0j
     hvals, p = linalg.hermitian_eig(h, tol=np.inf)
     spread = max(hvals[-1] - hvals[0], 1.0)
-    for i, j in _cluster_bounds(hvals, 1e-9 * spread):
+    for i, j in linalg.cluster_bounds(hvals, 1e-9 * spread):
         if j - i > 1:
             block = p[:, i:j]
             sub = block.conj().T @ k @ block
@@ -464,15 +456,15 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
     mm = moment_matrix(seq, d)
     report.structure = classify_structure(mm, tol.struct_tol)
 
-    flat = check_flatness(seq, d, dk, tol.rank_tol)
+    # the one eigendecomposition of M_d: rank at order d, smallest
+    # eigenvalue, root factor and certification scale
+    eig = linalg.hermitian_eig((mm.matrix + mm.matrix.conj().T) / 2.0, tol=np.inf)
+    flat = check_flatness(seq, d, dk, tol.rank_tol, matrix=mm.matrix, eigenvalues=eig.values)
     report.ranks = flat.ranks
     report.flat_1 = flat.flat_1
     report.flat_dk = flat.flat_dk
     report.rank = flat.r_d
-
-    sym = (mm.matrix + mm.matrix.conj().T) / 2.0
-    vals, _ = linalg.hermitian_eig(sym, tol=np.inf)
-    report.min_moment_eig = float(vals[0])
+    report.min_moment_eig = float(eig.values[0])
     report.ball_constraint_seen = None  # cmd_solve fills this in when a problem is known
 
     if not flat.flat_1:
@@ -482,7 +474,7 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
         )
 
     if mode == CONJUGATE:
-        x = linalg.psd_root_factor(mm.matrix, tol.psd_tol, tol.rank_tol)
+        x = linalg.psd_root_factor(mm.matrix, tol.psd_tol, tol.rank_tol, eig=eig)
     else:
         u, sigma = linalg.takagi(mm.matrix, max(tol.psd_tol, 1e-10))
         r = linalg.numeric_rank(sigma, tol.rank_tol)
@@ -518,11 +510,7 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
             np.linalg.norm(t - t.T) / max(1.0, np.linalg.norm(t)) for t in shifts.shifts
         )
         report.shift_symmetry = float(sym_resid)
-        comm = 0.0
-        for i in range(len(shifts.shifts)):
-            for j in range(i + 1, len(shifts.shifts)):
-                ti, tj = shifts.shifts[i], shifts.shifts[j]
-                comm = max(comm, np.linalg.norm(ti @ tj - tj @ ti))
+        comm = _max_commutator(shifts.shifts)
         report.hypo_commutator = float(comm)
         scale = max(1.0, max(np.linalg.norm(t, 2) for t in shifts.shifts) ** 2)
         if sym_resid > tol.hypo_tol or comm > tol.hypo_tol * scale:
@@ -562,14 +550,14 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
     report.atom_count = len(measure.atoms)
     report.reconstruction_residual = verify_measure(measure, seq)
 
-    report.certification = _certify(seq, report, flat, mode, tol)
+    scale = max(1.0, float(np.abs(eig.values).max()))  # ||M_d||_2
+    report.certification = _certify(seq, report, flat, mode, tol, scale)
     return measure, report
 
 
-def _certify(seq, report, flat, mode, tol):
+def _certify(seq, report, flat, mode, tol, scale):
     if mode == TRANSPOSE:
         return "certified" if flat.flat_dk else "rank_preserved_uncertified"
-    scale = max(1.0, _matrix_scale(seq, report.d))
     psd_ok = report.min_moment_eig >= -tol.psd_tol * scale
     if not flat.flat_dk or not psd_ok:
         return "rank_preserved_uncertified"
@@ -586,17 +574,10 @@ def _certify(seq, report, flat, mode, tol):
     return "rank_preserved_uncertified"
 
 
-def _matrix_scale(seq, d):
-    m = moment_matrix(seq, d).matrix
-    return float(np.linalg.norm(m, 2))
-
-
 def data_hyponormality_min_eig(seq, dk):
     """Smallest eigenvalue over the data-level hyponormality blocks at gap dk."""
-    n = seq.n
     best = np.inf
-    pairs = [(1, 1)] if n == 1 else [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    for i, j in pairs:
+    for i, j in variable_pairs(seq.n):
         block = hyponormality_block(seq, dk, i, j).matrix
         vals, _ = linalg.hermitian_eig((block + block.conj().T) / 2.0, tol=np.inf)
         best = min(best, float(vals[0]))
@@ -682,14 +663,8 @@ _FORMAT_NAME = "measure"
 _FORMAT_VERSION = 1
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def write_measure(measure, target):
-    own = isinstance(target, str)
-    fh = open(target, "w") if own else target
-    try:
+    with _sink(target) as fh:
         fh.write(f"{_FORMAT_NAME} {_FORMAT_VERSION}\n")
         fh.write(f"mode {measure.mode}\n")
         fh.write(f"n {measure.n}\n")
@@ -697,19 +672,10 @@ def write_measure(measure, target):
             coords = " ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in atom)
             w = complex(w)
             fh.write(f"atom {coords} w {_fmt(w.real)} {_fmt(w.imag)}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_measure(source):
-    if isinstance(source, str) and "\n" not in source:
-        with open(source) as fh:
-            lines = fh.read().splitlines()
-    elif isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source.read().splitlines()
+    lines = _source_lines(source)
     mode = None
     n = None
     atoms, weights = [], []
@@ -720,6 +686,8 @@ def read_measure(source):
             continue
         parts = line.split()
         if parts[0] == _FORMAT_NAME:
+            if len(parts) != 2 or parts[1] != str(_FORMAT_VERSION):
+                raise ParseError(f"line {lineno}: unsupported {_FORMAT_NAME} version")
             seen_header = True
         elif parts[0] == "mode":
             if len(parts) != 2:

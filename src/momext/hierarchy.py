@@ -20,10 +20,13 @@ from .errors import FormatError, NotHermitian, OrderTooSmall, ParseError
 from .moment import (
     HermitianPoly,
     MomentSequence,
-    enumerate_indices,
-    index_add,
-    total_degree,
-    unit_index,
+    _idx_str,
+    _parse_idx,
+    _source_lines,
+    hyponormality_grid,
+    layout,
+    moment_matrix,
+    variable_pairs,
 )
 
 __all__ = [
@@ -73,31 +76,40 @@ class RelaxationMap:
     mode 'hermitian': unknowns are Re y[a,b] for a <= b (graded-lex) and
     Im y[a,b] for a < b; y[b,a] is tied to the conjugate.
     mode 'hankel_real': unknowns are the real Hankel moments y[s], |s| <= 2d.
+
+    Every moment is a combination of at most two unknowns, held as index
+    tables over the positions (p, q) of (a, b) in layout(n, d): y[a,b] is
+    sum over k of coeff[p, q, k] * x[var[p, q, k]], with var -1 for an
+    unused slot.
     """
 
     def __init__(self, n, d, real_vars=False):
         self.n = n
         self.d = d
         self.mode = "hankel_real" if real_vars else "hermitian"
-        self.indices = enumerate_indices(n, d)
-        self._rank = {a: i for i, a in enumerate(self.indices)}
-        self.var_names = []
-        self._re = {}
-        self._im = {}
-        self._hk = {}
+        lay = layout(n, d)
+        self.indices = list(lay.labels)
+        size = len(self.indices)
+        self.var = np.full((size, size, 2), -1, dtype=np.intp)
+        self.coeff = np.zeros((size, size, 2), dtype=complex)
+        self.coeff[..., 0] = 1.0
         if self.mode == "hermitian":
-            for i, a in enumerate(self.indices):
-                for b in self.indices[i:]:
-                    self._re[(a, b)] = len(self.var_names)
-                    self.var_names.append(f"re[{_istr(a)}|{_istr(b)}]")
-            for i, a in enumerate(self.indices):
-                for b in self.indices[i + 1 :]:
-                    self._im[(a, b)] = len(self.var_names)
-                    self.var_names.append(f"im[{_istr(a)}|{_istr(b)}]")
+            upper, strict = np.triu_indices(size), np.triu_indices(size, 1)
+            re = np.zeros((size, size), dtype=np.intp)
+            re[upper] = np.arange(len(upper[0]))
+            self.var[..., 0] = np.triu(re) + np.triu(re, 1).T
+            self.var[..., 1][strict] = len(upper[0]) + np.arange(len(strict[0]))
+            self.var[..., 1].T[strict] = self.var[..., 1][strict]
+            self.coeff[..., 1][strict] = 1.0j
+            self.coeff[..., 1].T[strict] = -1.0j
+            self.var_names = [
+                f"{part}[{_idx_str(self.indices[p])}|{_idx_str(self.indices[q])}]"
+                for part, (rows, cols) in (("re", upper), ("im", strict))
+                for p, q in zip(rows, cols)
+            ]
         else:
-            for s in enumerate_indices(n, 2 * d):
-                self._hk[s] = len(self.var_names)
-                self.var_names.append(f"y[{_istr(s)}]")
+            self.var[..., 0] = lay.sums
+            self.var_names = [f"y[{_idx_str(s)}]" for s in layout(n, 2 * d).labels]
 
     @property
     def n_vars(self):
@@ -105,47 +117,37 @@ class RelaxationMap:
 
     def expr(self, a, b):
         """y[a,b] as [(var_index, complex coefficient), ...]."""
-        a, b = tuple(a), tuple(b)
-        if self.mode == "hankel_real":
-            return [(self._hk[index_add(a, b)], 1.0 + 0.0j)]
-        ra, rb = self._rank[a], self._rank[b]
-        if ra == rb:
-            return [(self._re[(a, b)], 1.0 + 0.0j)]
-        if ra < rb:
-            return [(self._re[(a, b)], 1.0 + 0.0j), (self._im[(a, b)], 1.0j)]
-        return [(self._re[(b, a)], 1.0 + 0.0j), (self._im[(b, a)], -1.0j)]
+        pos = layout(self.n, self.d).pos
+        p, q = pos[tuple(a)], pos[tuple(b)]
+        return [(int(v), complex(c))
+                for v, c in zip(self.var[p, q], self.coeff[p, q]) if v >= 0]
 
     def sequence_from_values(self, x):
         """Solver vector -> exactly Hermitian paired MomentSequence."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_vars,):
             raise FormatError(f"expected {self.n_vars} values, got {x.shape}")
-        values = {}
-        for a in self.indices:
-            for b in self.indices:
-                values[(a, b)] = sum(c * x[i] for i, c in self.expr(a, b))
+        terms = np.where(self.var >= 0, self.coeff * x[self.var], 0.0)
+        rows = ((0.0 + terms[..., 0]) + terms[..., 1]).tolist()
+        values = {(a, b): v
+                  for a, row in zip(self.indices, rows) for b, v in zip(self.indices, row)}
         return MomentSequence(n=self.n, d=self.d, mode="paired", values=values)
 
     def values_from_sequence(self, seq):
         """Moment sequence -> solver vector (inverse of sequence_from_values)."""
         x = np.zeros(self.n_vars)
         if self.mode == "hermitian":
-            for (a, b), i in self._re.items():
-                v = (complex(seq.get(a, b)) + np.conj(seq.get(b, a))) / 2.0
-                x[i] = v.real
-            for (a, b), i in self._im.items():
-                v = (complex(seq.get(a, b)) + np.conj(seq.get(b, a))) / 2.0
-                x[i] = v.imag
+            m = moment_matrix(seq, self.d).matrix
+            v = (m + m.conj().T) / 2.0  # v[b,a] is exactly conj(v[a,b])
+            strict = np.triu_indices(len(self.indices), 1)
+            x[self.var[..., 0]] = v.real
+            x[self.var[..., 1][strict]] = v[strict].imag
         else:
-            for s, i in self._hk.items():
+            for i, s in enumerate(layout(self.n, 2 * self.d).labels):
                 beta = _split_index(s, self.d)
                 alpha = tuple(si - bi for si, bi in zip(s, beta))
                 x[i] = complex(seq.get(alpha, beta)).real
         return x
-
-
-def _istr(alpha):
-    return ",".join(str(a) for a in alpha)
 
 
 def _split_index(s, d):
@@ -209,12 +211,6 @@ def parse_problem(text):
     with a plain complex polynomial (such as z^3 = 1) splits into its real
     and imaginary Hermitian parts.
     """
-    if isinstance(source := text, str) and "\n" not in source:
-        with open(source) as fh:
-            text = fh.read()
-    elif not isinstance(text, str):
-        text = text.read()
-
     n = None
     real_vars = False
     objective_terms = None
@@ -231,7 +227,7 @@ def parse_problem(text):
         else:
             pending.append((current[1], current[2]))
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_source_lines(text), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -267,8 +263,8 @@ def parse_problem(text):
                 raise ParseError(f"{where}: term before n")
             if len(parts) != 5:
                 raise ParseError(f"{where}: term needs alpha beta re im")
-            a = _parse_index(parts[1], n, where)
-            b = _parse_index(parts[2], n, where)
+            a = _parse_idx(parts[1], n, where)
+            b = _parse_idx(parts[2], n, where)
             try:
                 c = complex(float(parts[3]), float(parts[4]))
             except ValueError:
@@ -311,96 +307,71 @@ def parse_problem(text):
                              real_vars=real_vars)
 
 
-def _parse_index(text, n, where):
-    parts = text.split(",")
-    if len(parts) != n:
-        raise ParseError(f"{where}: index {text!r} needs {n} entries")
-    try:
-        idx = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"{where}: bad index {text!r}") from None
-    if any(k < 0 for k in idx):
-        raise ParseError(f"{where}: negative exponent in {text!r}")
-    return idx
-
-
 def problem_to_text(problem):
     lines = ["pop 1", f"n {problem.n}", f"vars {'real' if problem.real_vars else 'complex'}"]
-    lines.append("minimize")
-    for (a, b), c in sorted(problem.objective.terms.items()):
-        lines.append(f"term {_istr(a)} {_istr(b)} {c.real:.17g} {c.imag:.17g}")
-    for con in problem.constraints:
-        lines.append(f"constraint {con.kind}")
-        for (a, b), c in sorted(con.poly.terms.items()):
-            lines.append(f"term {_istr(a)} {_istr(b)} {c.real:.17g} {c.imag:.17g}")
+    sections = [("minimize", problem.objective)]
+    sections += [(f"constraint {con.kind}", con.poly) for con in problem.constraints]
+    for head, poly in sections:
+        lines.append(head)
+        for (a, b), c in sorted(poly.terms.items()):
+            lines.append(f"term {_idx_str(a)} {_idx_str(b)} {c.real:.17g} {c.imag:.17g}")
     return "\n".join(lines) + "\n"
 
 
 # -------------------------------------------------------------- relaxation
 
 
-def _linear_entry(rmap, pairs):
-    """Accumulate sum of coeff * y[a,b] into a complex row over variables."""
-    row = {}
-    for coeff, a, b in pairs:
-        for idx, c in rmap.expr(a, b):
-            row[idx] = row.get(idx, 0.0 + 0.0j) + coeff * c
-    return row
+def _shifted_terms(rmap, t, cells):
+    """Sparse triplets of a block of shifted moments.
+
+    cells[r][s] lists terms (gamma, delta, c); cell (r, s) of the block is
+    the sum of c * y[alpha + gamma, beta + delta] over the labels alpha,
+    beta of order t. Returns the block size and the (entry, var, coeff)
+    arrays of every contribution, with entry = row * size + col, in scan
+    order: cells and entries row-major, then terms, then unknowns.
+    """
+    lay = layout(rmap.n, rmap.d)
+    m = lay.size(t)
+    size = m * len(cells)
+    local = np.arange(m)
+    parts = []
+    for r, row in enumerate(cells):
+        for s, terms in enumerate(row):
+            grids = [np.ix_(lay.shift(gamma, t), lay.shift(delta, t)) for gamma, delta, _ in terms]
+            var = np.stack([rmap.var[g] for g in grids], axis=2)
+            coeff = np.stack([c * rmap.coeff[g] for g, (_, _, c) in zip(grids, terms)], axis=2)
+            entry = (r * m + local)[:, None] * size + (s * m + local)[None, :]
+            parts.append((np.broadcast_to(entry[:, :, None, None], var.shape), var, coeff))
+    entry, var, coeff = (np.concatenate([p[k].ravel() for p in parts]) for k in range(3))
+    used = var >= 0
+    return size, entry[used], var[used], coeff[used]
 
 
-def _block_from_entries(rmap, name, labels, entry_pairs):
-    """Build an SDPBlock from per-entry lists of (coeff, alpha, beta)."""
-    size = len(labels)
-    const = np.zeros((size, size), dtype=complex)
+def _sdp_block(name, size, entry, var, coeff):
+    """SDPBlock with one dense coefficient matrix per unknown, in order of first use."""
+    order = np.argsort(var, kind="stable")
+    used, first, counts = np.unique(var, return_index=True, return_counts=True)
+    ends = np.cumsum(counts)
     coeffs = {}
-    for (i, j), pairs in entry_pairs.items():
-        row = _linear_entry(rmap, pairs)
-        for idx, c in row.items():
-            if idx not in coeffs:
-                coeffs[idx] = np.zeros((size, size), dtype=complex)
-            coeffs[idx][i, j] += c
-    return SDPBlock(name=name, size=size, const=const, coeffs=coeffs)
+    for k in np.argsort(first, kind="stable"):
+        sel = order[ends[k] - counts[k]: ends[k]]
+        mat = np.zeros(size * size, dtype=complex)
+        np.add.at(mat, entry[sel], coeff[sel])
+        coeffs[int(used[k])] = mat.reshape(size, size)
+    return SDPBlock(name=name, size=size, const=np.zeros((size, size), dtype=complex),
+                    coeffs=coeffs)
 
 
-def _poly_shifted_entries(poly, labels):
-    """Entry map for the localizing matrix of `poly` over `labels`."""
-    entries = {}
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            pairs = [
-                (c, index_add(a, gamma), index_add(b, delta))
-                for (gamma, delta), c in poly.terms.items()
-            ]
-            entries[(i, j)] = pairs
-    return entries
-
-
-def _hypo_entry_pairs(n, labels, i_var, j_var):
-    """Entry map for the joint-hyponormality block of the pair (i_var, j_var)."""
-    zero = (0,) * n
-    ei = unit_index(n, i_var)
-    if n == 1 or i_var == j_var:
-        grid = [
-            [(zero, zero), (ei, zero)],
-            [(zero, ei), (ei, ei)],
-        ]
-    else:
-        ej = unit_index(n, j_var)
-        grid = [
-            [(zero, zero), (ei, zero), (ej, zero)],
-            [(zero, ei), (ei, ei), (ej, ei)],
-            [(zero, ej), (ei, ej), (ej, ej)],
-        ]
-    m = len(labels)
-    entries = {}
-    for bi, row in enumerate(grid):
-        for bj, (gamma, delta) in enumerate(row):
-            for i, a in enumerate(labels):
-                for j, b in enumerate(labels):
-                    entries[(bi * m + i, bj * m + j)] = [
-                        (1.0, index_add(a, gamma), index_add(b, delta))
-                    ]
-    return entries
+def _functional(rmap, terms):
+    """sum of c * y[a,b] over terms {(a, b): c}, as a complex vector over the unknowns."""
+    pos = layout(rmap.n, rmap.d).pos
+    p = [pos[a] for a, _ in terms]
+    q = [pos[b] for _, b in terms]
+    var = rmap.var[p, q]
+    coeff = np.array(list(terms.values()), dtype=complex)[:, None] * rmap.coeff[p, q]
+    acc = np.zeros(rmap.n_vars, dtype=complex)
+    np.add.at(acc, var[var >= 0], coeff[var >= 0])
+    return acc
 
 
 def assemble_relaxation(problem, d, enforce_hyponormality=False):
@@ -422,113 +393,77 @@ def assemble_relaxation(problem, d, enforce_hyponormality=False):
             f"order-{d} relaxation is not defined: objective degree needs d >= {problem.objective_order}"
         )
     rmap = RelaxationMap(n, d, real_vars=problem.real_vars)
-    blocks = []
+    zero = (0,) * n
+    blocks = [_sdp_block("moment", *_shifted_terms(rmap, d, [[[(zero, zero, 1.0)]]]))]
     eq_rows = []
 
-    labels_d = enumerate_indices(n, d)
-    one = HermitianPoly(n, {(((0,) * n), ((0,) * n)): 1.0})
-    blocks.append(_block_from_entries(rmap, "moment", labels_d,
-                                      _poly_shifted_entries(one, labels_d)))
-
     for ci, con in enumerate(problem.constraints):
-        k = con.poly.k
-        labels = enumerate_indices(n, d - k)
-        entries = _poly_shifted_entries(con.poly, labels)
+        cells = [[[(gamma, delta, c) for (gamma, delta), c in con.poly.terms.items()]]]
+        terms = _shifted_terms(rmap, d - con.poly.k, cells)
         if con.kind == "ineq":
-            blocks.append(_block_from_entries(rmap, f"localizing:{ci}", labels, entries))
+            blocks.append(_sdp_block(f"localizing:{ci}", *terms))
         else:
-            eq_rows.extend(_equality_rows(rmap, labels, entries))
+            eq_rows.extend(_equality_rows(rmap, *terms))
 
     # normalization y[0,0] = 1
-    zero = (0,) * n
-    row = _linear_entry(rmap, [(1.0, zero, zero)])
-    eq_rows.append((_dense_row(rmap, {i: c.real for i, c in row.items()}), 1.0))
+    eq_rows.append((_functional(rmap, {(zero, zero): 1.0}).real, 1.0))
 
     if enforce_hyponormality:
-        labels = enumerate_indices(n, d - 1)
-        pairs = [(1, 1)] if n == 1 else [
-            (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-        ]
-        for i_var, j_var in pairs:
-            entries = _hypo_entry_pairs(n, labels, i_var, j_var)
+        for i_var, j_var in variable_pairs(n):
+            cells = [[[(gamma, delta, 1.0)] for gamma, delta in row]
+                     for row in hyponormality_grid(n, i_var, j_var)]
             name = "hypo:uni" if n == 1 else f"hypo:{i_var},{j_var}"
-            blocks.append(_block_from_entries(rmap, name, labels * (2 if n == 1 else 3), entries))
+            blocks.append(_sdp_block(name, *_shifted_terms(rmap, d - 1, cells)))
 
-    obj = np.zeros(rmap.n_vars)
-    obj_const = 0.0
-    acc = {}
-    for (a, b), c in problem.objective.terms.items():
-        for idx, coef in rmap.expr(a, b):
-            acc[idx] = acc.get(idx, 0.0 + 0.0j) + c * coef
-    for idx, v in acc.items():
-        if abs(v.imag) > 1e-9 * max(1.0, abs(v)):
-            raise NotHermitian("objective produced a complex linear functional")
-        obj[idx] = v.real
+    acc = _functional(rmap, problem.objective.terms)
+    if np.any(np.abs(acc.imag) > 1e-9 * np.maximum(1.0, np.abs(acc))):
+        raise NotHermitian("objective produced a complex linear functional")
 
-    eq_a, eq_b = _stack_rows(rmap.n_vars, eq_rows)
     sdp = SDPProblem(
         var_names=list(rmap.var_names),
         blocks=blocks,
-        eq_a=eq_a,
-        eq_b=eq_b,
-        objective=obj,
-        obj_const=obj_const,
+        eq_a=np.vstack([row for row, _ in eq_rows]),  # never empty: y[0,0] = 1
+        eq_b=np.array([rhs for _, rhs in eq_rows]),
+        objective=acc.real.copy(),
+        obj_const=0.0,
         is_real=problem.real_vars,
         metadata={"order": d, "enforced": enforce_hyponormality},
     )
     return sdp, rmap
 
 
-def _dense_row(rmap, sparse):
-    row = np.zeros(rmap.n_vars)
-    for i, v in sparse.items():
-        row[i] = v
-    return row
-
-
-def _equality_rows(rmap, labels, entries):
+def _equality_rows(rmap, size, entry, var, coeff):
     """Real equality rows (a . x = b) for a vanishing localizing matrix.
 
     Only the upper triangle is scanned; the lower one is its conjugate.
     Near-duplicate rows (from structural symmetry) are dropped.
     """
+    dense = np.zeros((size * size, rmap.n_vars), dtype=complex)
+    np.add.at(dense, (entry, var), coeff)
     rows = []
     seen = set()
-    for i in range(len(labels)):
-        for j in range(i, len(labels)):
-            pairs = entries[(i, j)]
-            row = _linear_entry(rmap, pairs)
-            for picker in (lambda c: c.real, lambda c: c.imag):
-                dense = {idx: picker(c) for idx, c in row.items() if abs(picker(c)) > 1e-14}
-                if not dense:
+    for i in range(size):
+        for j in range(i, size):
+            for part in (dense[i * size + j].real, dense[i * size + j].imag):
+                nz = np.flatnonzero(np.abs(part) > 1e-14)
+                if not nz.size:
                     continue
-                sig = _row_signature(dense)
+                sig = _row_signature(nz.tolist(), part[nz].tolist())
                 if sig in seen:
                     continue
                 seen.add(sig)
-                rows.append((_dense_row(rmap, dense), 0.0))
+                row = np.zeros(rmap.n_vars)
+                row[nz] = part[nz]
+                rows.append((row, 0.0))
     return rows
 
 
-def _row_signature(dense):
-    items = sorted(dense.items())
-    lead = items[0][1]
-    return tuple((i, round(v / lead, 9)) for i, v in items)
-
-
-def _stack_rows(n_vars, rows):
-    if not rows:
-        return np.zeros((0, n_vars)), np.zeros(0)
-    a = np.vstack([r for r, _ in rows])
-    b = np.array([v for _, v in rows])
-    return a, b
+def _row_signature(indices, values):
+    lead = values[0]
+    return tuple((i, round(v / lead, 9)) for i, v in zip(indices, values))
 
 
 # ---------------------------------------------------------------- realify
-
-
-def _is_real_matrix(m, tol=0.0):
-    return np.all(np.abs(np.imag(m)) <= tol)
 
 
 def realify(sdp):
@@ -537,22 +472,10 @@ def realify(sdp):
     H becomes [[Re H, -Im H], [Im H, Re H]], doubling eigenvalue
     multiplicities; blocks that are already real pass through unchanged.
     """
-    if sdp.is_real and all(_is_real_matrix(b.const) and
-                           all(_is_real_matrix(f) for f in b.coeffs.values())
-                           for b in sdp.blocks):
-        out_blocks = [
-            SDPBlock(b.name, b.size, np.real(b.const).astype(float),
-                     {i: np.real(f).astype(float) for i, f in b.coeffs.items()})
-            for b in sdp.blocks
-        ]
-        return SDPProblem(sdp.var_names, out_blocks, sdp.eq_a, sdp.eq_b,
-                          sdp.objective, sdp.obj_const, is_real=True,
-                          metadata=dict(sdp.metadata))
-
     out_blocks = []
     for b in sdp.blocks:
         mats = [b.const] + list(b.coeffs.values())
-        if all(_is_real_matrix(m, 1e-300) for m in mats):
+        if all(np.all(np.abs(np.imag(m)) <= 1e-300) for m in mats):
             out_blocks.append(
                 SDPBlock(b.name, b.size, np.real(b.const).astype(float),
                          {i: np.real(f).astype(float) for i, f in b.coeffs.items()})

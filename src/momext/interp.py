@@ -23,7 +23,7 @@ from .errors import (
     RankNotStabilized,
 )
 from .extraction import TRANSPOSE, Tolerances, extract_measure
-from .moment import MomentSequence, enumerate_indices, hankel_matrix
+from .moment import MomentSequence, _fmt, _sink, _source_lines, enumerate_indices, hankel_matrix
 
 log = logging.getLogger(__name__)
 
@@ -278,14 +278,8 @@ _FORMAT_NAME = "expsum"
 _FORMAT_VERSION = 1
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def write_model(model, target):
-    own = isinstance(target, str)
-    fh = open(target, "w") if own else target
-    try:
+    with _sink(target) as fh:
         fh.write(f"{_FORMAT_NAME} {_FORMAT_VERSION}\n")
         fh.write(f"n {model.n}\n")
         for term in model.terms:
@@ -294,19 +288,10 @@ def write_model(model, target):
                 f"{_fmt(f.real)} {_fmt(f.imag)}" for f in map(complex, term.frequencies)
             )
             fh.write(f"term {_fmt(w.real)} {_fmt(w.imag)} {freqs}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_model(source):
-    if isinstance(source, str) and "\n" not in source:
-        with open(source) as fh:
-            lines = fh.read().splitlines()
-    elif isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source.read().splitlines()
+    lines = _source_lines(source)
     n = None
     terms = []
     seen = False
@@ -316,6 +301,8 @@ def read_model(source):
             continue
         parts = line.split()
         if parts[0] == _FORMAT_NAME:
+            if len(parts) != 2 or parts[1] != str(_FORMAT_VERSION):
+                raise ParseError(f"line {lineno}: unsupported {_FORMAT_NAME} version")
             seen = True
         elif parts[0] == "n":
             try:

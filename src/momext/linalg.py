@@ -46,6 +46,15 @@ def _as_complex_matrix(a):
     return a
 
 
+def _check_hermitian(a, tol):
+    """Frobenius norm of a; NotHermitian when a - a^* exceeds tol times it."""
+    scale = np.linalg.norm(a)
+    asym = np.linalg.norm(a - a.conj().T)
+    if asym > tol * max(scale, 1e-300):
+        raise NotHermitian(f"asymmetry {asym:.3e} exceeds {tol:.1e} * ||a||")
+    return scale
+
+
 def hermitian_eig(a, tol=1e-9):
     """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi.
 
@@ -57,12 +66,7 @@ def hermitian_eig(a, tol=1e-9):
     n = a.shape[0]
     if n == 0:
         return EigResult(np.zeros(0), np.zeros((0, 0), dtype=complex))
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.conj().T) > tol * max(scale, 1e-300):
-        raise NotHermitian(
-            f"asymmetry {np.linalg.norm(a - a.conj().T):.3e} exceeds "
-            f"{tol:.1e} * ||a||"
-        )
+    scale = _check_hermitian(a, tol)
     work = (a + a.conj().T) / 2.0
     vecs = np.eye(n, dtype=complex)
     if n == 1:
@@ -129,16 +133,22 @@ def _phase_normalize_rows(x, eps):
     return x
 
 
-def psd_root_factor(a, tol=1e-8, rank_tol=DEFAULT_RANK_TOL):
+def psd_root_factor(a, tol=1e-8, rank_tol=DEFAULT_RANK_TOL, eig=None):
     """Factor a Hermitian PSD matrix as a = X^* X with rank(a) rows.
 
     Eigendecompose, clamp round-off negatives, then QR so that X comes out
     in a row-echelon-like form (leading entries real nonnegative), which
-    keeps the downstream column-basis search stable.
+    keeps the downstream column-basis search stable. A caller that already
+    holds `hermitian_eig` of the Hermitian part of a passes it as `eig`;
+    a itself is still checked for Hermitian symmetry.
     """
     a = _as_complex_matrix(a)
     n = a.shape[0]
-    values, vectors = hermitian_eig(a, tol=max(tol, 1e-9))
+    if eig is None:
+        values, vectors = hermitian_eig(a, tol=max(tol, 1e-9))
+    else:
+        _check_hermitian(a, max(tol, 1e-9))
+        values, vectors = eig
     scale = max(np.abs(values).max(initial=0.0), 0.0)
     if values.size and values[0] < -tol * max(scale, 1.0):
         raise NotPSD(f"eigenvalue {values[0]:.6e} below -{tol:.1e} * ||a||")
@@ -152,6 +162,20 @@ def psd_root_factor(a, tol=1e-8, rank_tol=DEFAULT_RANK_TOL):
     return _phase_normalize_rows(rmat, 1e-13 * max(scale, 1.0))
 
 
+def cluster_bounds(values, width):
+    """Split sorted real values into clusters of gap <= width."""
+    bounds = []
+    i = 0
+    n = len(values)
+    while i < n:
+        j = i + 1
+        while j < n and values[j] - values[j - 1] <= width:
+            j += 1
+        bounds.append((i, j))
+        i = j
+    return bounds
+
+
 def _joint_diag_real_symmetric(r, m, cluster_tol):
     """Orthogonal O with O^T r O and O^T m O (both) diagonal.
 
@@ -163,19 +187,13 @@ def _joint_diag_real_symmetric(r, m, cluster_tol):
     # re-orthonormalize against residual imaginary dust
     o, _ = np.linalg.qr(o)
     spread = max(vals.max() - vals.min(), 1.0) if vals.size else 1.0
-    i = 0
-    n = r.shape[0]
-    while i < n:
-        j = i + 1
-        while j < n and vals[j] - vals[j - 1] <= cluster_tol * spread:
-            j += 1
+    for i, j in cluster_bounds(vals, cluster_tol * spread):
         if j - i > 1:
             block = o[:, i:j]
             sub = block.T @ m @ block
             sub = (sub + sub.T) / 2.0
             _, svecs = hermitian_eig(sub.astype(complex))
             o[:, i:j] = block @ np.real(svecs)
-        i = j
     return o
 
 
@@ -205,11 +223,8 @@ def takagi(s, tol=1e-8, cluster_tol=1e-8):
 
     u = np.zeros((n, n), dtype=complex)
     smax = max(sigma[0], 1.0) if sigma.size else 1.0
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and sigma[j - 1] - sigma[j] <= cluster_tol * smax:
-            j += 1
+    # -sigma ascends, and its gaps are exactly those of sigma
+    for i, j in cluster_bounds(-sigma, cluster_tol * smax):
         block = q[:, i:j]
         if sigma[i] <= cluster_tol * smax:
             # null cluster: any orthonormal basis works
@@ -227,7 +242,6 @@ def takagi(s, tol=1e-8, cluster_tol=1e-8):
             o = _joint_diag_real_symmetric(np.real(b), np.imag(b), 1e-10)
             d = np.diag(o.T @ b @ o)
             u[:, i:j] = block @ (o * np.exp(0.5j * np.angle(d))[None, :])
-        i = j
 
     # Rayleigh refinement: eigenvalues of S S^* square the small singular
     # values, so sqrt() only recovers them to ~sqrt(eps). The diagonal of

@@ -10,8 +10,11 @@ A MomentSequence stores the raw truncated data in one of two modes:
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import io
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +25,8 @@ __all__ = [
     "enumerate_indices",
     "index_add",
     "total_degree",
+    "Layout",
+    "layout",
     "MomentSequence",
     "MomentMatrix",
     "HermitianPoly",
@@ -73,6 +78,72 @@ def index_count(n, d):
     return math.comb(n + d, d)
 
 
+class Layout:
+    """Graded-lex multi-indices |alpha| <= d over n variables, with shift tables.
+
+    The labels of order t are the first index_count(n, t) labels, so every
+    structured matrix indexed by them is an integer gather through
+    `shift(gamma, t)`. Share the instances of `layout(n, d)`, which live as
+    long as the process, one per (n, d) in use; their tables are read-only.
+    """
+
+    def __init__(self, n, d):
+        self.n = n
+        self.d = d
+        self.labels = tuple(enumerate_indices(n, d))
+        self.pos = types.MappingProxyType({a: i for i, a in enumerate(self.labels)})
+
+    def size(self, t):
+        """Number of labels of order t (0 for t < 0)."""
+        return index_count(self.n, t) if t >= 0 else 0
+
+    @functools.lru_cache(maxsize=None)
+    def shift(self, gamma, t):
+        """Positions of alpha + gamma for the labels alpha of order t."""
+        table = np.array([self.pos[index_add(a, gamma)] for a in self.labels[: self.size(t)]],
+                         dtype=np.intp)
+        table.flags.writeable = False  # shared by every caller
+        return table
+
+    @functools.cached_property
+    def sums(self):
+        """(N, N) table of the positions in layout(n, 2d) of labels[p] + labels[q]."""
+        big = layout(self.n, 2 * self.d)
+        table = np.stack([big.shift(b, self.d) for b in self.labels], axis=1)
+        table.flags.writeable = False
+        return table
+
+
+@functools.lru_cache(maxsize=None)
+def layout(n, d):
+    """The shared Layout(n, d)."""
+    return Layout(n, d)
+
+
+def variable_pairs(n):
+    """Variable pairs (i, j), 1-based, with one hyponormality block each."""
+    if n == 1:
+        return [(1, 1)]
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def hyponormality_grid(n, i, j):
+    """Shift pairs (gamma, delta) of the hyponormality block of variables (i, j).
+
+    Cell (r, s) is the sub-block y[alpha + gamma, beta + delta] with gamma
+    the s-th and delta the r-th of 0, e_i, e_j: a 3x3 grid, or the 2x2
+    univariate form for n == 1 or i == j.
+    """
+    if n == 1 or i == j:
+        units = [unit_index(n, i)]
+    elif 1 <= i < j <= n:
+        units = [unit_index(n, i), unit_index(n, j)]
+    else:
+        raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}")
+    shifts = [(0,) * n] + units
+    return [[(gamma, delta) for gamma in shifts] for delta in shifts]
+
+
 @dataclass
 class MomentSequence:
     """Truncated moment data y over C^n.
@@ -103,28 +174,7 @@ class MomentSequence:
 
     def zero_moment(self):
         origin = (0,) * self.n
-        if self.mode == "paired":
-            return self.get(origin, origin)
         return self.get(origin, origin)
-
-    def covers(self, order):
-        try:
-            self.check_coverage(order)
-        except MissingMoment:
-            return False
-        return True
-
-    def check_coverage(self, order):
-        idx = enumerate_indices(self.n, order)
-        if self.mode == "paired":
-            for a in idx:
-                for b in idx:
-                    if (a, b) not in self.values:
-                        raise MissingMoment((a, b))
-        else:
-            for s in enumerate_indices(self.n, 2 * order):
-                if s not in self.values:
-                    raise MissingMoment(s)
 
     def is_hermitian(self, tol=1e-12):
         if self.mode == "hankel":
@@ -201,19 +251,42 @@ class HermitianPoly:
             acc += c * np.prod(np.conj(z) ** np.array(a)) * np.prod(z ** np.array(b))
         return acc
 
-    def scaled(self, factor):
-        return HermitianPoly(self.n, {k: factor * c for k, c in self.terms.items()})
+
+def _gather(seq, deg):
+    """Reader of y over the labels of layout(seq.n, deg).
+
+    Returns a function mapping position arrays (rows, cols) to the matrix
+    y[labels[rows[i]], labels[cols[j]]]; in hankel mode that entry is
+    y[labels[rows[i]] + labels[cols[j]]]. The first absent key in row-major
+    order raises MissingMoment.
+    """
+    lay = layout(seq.n, deg)
+    if seq.mode == "paired":
+        keys = [(a, b) for a in lay.labels for b in lay.labels]
+        table = np.arange(len(keys)).reshape(len(lay.labels), -1)
+    else:
+        keys = layout(seq.n, 2 * deg).labels
+        table = lay.sums
+    present = np.array([k in seq.values for k in keys])
+    values = np.array([seq.values.get(k, 0.0) for k in keys], dtype=complex)
+
+    def read(rows, cols):
+        idx = table[np.ix_(rows, cols)]
+        missing = ~present[idx]
+        if missing.any():
+            raise MissingMoment(keys[idx.flat[np.argmax(missing)]])
+        return values[idx]
+
+    return read
 
 
 def moment_matrix(seq, d):
     """M_d(y): entry (alpha, beta) = y_{alpha,beta} (or y_{alpha+beta})."""
-    labels = enumerate_indices(seq.n, d)
-    m = np.empty((len(labels), len(labels)), dtype=complex)
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            m[i, j] = seq.get(a, b)
+    lay = layout(seq.n, d)
+    labels = list(lay.labels)
+    every = np.arange(len(labels))
     kind = "hankel" if seq.mode == "hankel" else "moment"
-    return MomentMatrix(m, labels, labels, kind)
+    return MomentMatrix(_gather(seq, d)(every, every), labels, labels, kind)
 
 
 def hankel_matrix(seq, d):
@@ -232,12 +305,12 @@ def localizing_matrix(seq, g, d):
     k = g.k
     if d < k:
         raise OrderTooSmall(f"localizing matrix needs d >= {k}, got d={d}")
-    labels = enumerate_indices(seq.n, d - k)
+    lay = layout(seq.n, d)
+    read = _gather(seq, d)
+    labels = list(lay.labels[: lay.size(d - k)])
     m = np.zeros((len(labels), len(labels)), dtype=complex)
     for (gamma, delta), c in g.terms.items():
-        for i, a in enumerate(labels):
-            for j, b in enumerate(labels):
-                m[i, j] += c * seq.get(index_add(a, gamma), index_add(b, delta))
+        m += c * read(lay.shift(gamma, d - k), lay.shift(delta, d - k))
     return MomentMatrix(m, labels, labels, "localizing")
 
 
@@ -277,16 +350,6 @@ def classify_structure(m, tol=1e-9):
     return StructureFlags(hermitian=hermitian, hankel=hankel, toeplitz=toeplitz)
 
 
-def _shifted_block(seq, order, gamma, delta):
-    """Matrix of y_{alpha+gamma, beta+delta} over |alpha|,|beta| <= order."""
-    labels = enumerate_indices(seq.n, order)
-    m = np.empty((len(labels), len(labels)), dtype=complex)
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            m[i, j] = seq.get(index_add(a, gamma), index_add(b, delta))
-    return m
-
-
 def hyponormality_block(seq, dk, i, j):
     """Data-level joint-hyponormality block for the variable pair (i, j).
 
@@ -298,26 +361,12 @@ def hyponormality_block(seq, dk, i, j):
     h = seq.d - dk
     if h < 0:
         raise OrderTooSmall(f"gap dk={dk} exceeds data order d={seq.d}")
-    n = seq.n
-    zero = (0,) * n
-    if n == 1 or i == j:
-        ei = unit_index(n, i)
-        rows = [
-            [(zero, zero), (ei, zero)],
-            [(zero, ei), (ei, ei)],
-        ]
-    else:
-        if not (1 <= i < j <= n):
-            raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}")
-        ei, ej = unit_index(n, i), unit_index(n, j)
-        rows = [
-            [(zero, zero), (ei, zero), (ej, zero)],
-            [(zero, ei), (ei, ei), (ej, ei)],
-            [(zero, ej), (ei, ej), (ej, ej)],
-        ]
-    blocks = [[_shifted_block(seq, h, g, dl) for (g, dl) in row] for row in rows]
-    m = np.block(blocks)
-    labels = enumerate_indices(n, h) * len(rows)
+    grid = hyponormality_grid(seq.n, i, j)
+    lay = layout(seq.n, seq.d)
+    read = _gather(seq, seq.d)
+    m = np.block([[read(lay.shift(gamma, h), lay.shift(delta, h)) for gamma, delta in row]
+                  for row in grid])
+    labels = list(lay.labels[: lay.size(h)]) * len(grid)
     return MomentMatrix(m, labels, labels, "hypoblock")
 
 
@@ -329,6 +378,26 @@ _FORMAT_VERSION = 1
 
 def _fmt(x):
     return format(float(x), ".17g")
+
+
+@contextlib.contextmanager
+def _sink(target):
+    """A path (opened for writing, closed afterwards) or a file object."""
+    if isinstance(target, str):
+        with open(target, "w") as fh:
+            yield fh
+    else:
+        yield target
+
+
+def _source_lines(source):
+    """Lines of a path (a one-line string), a text or a file object."""
+    if isinstance(source, str) and "\n" not in source:
+        with open(source) as fh:
+            return fh.read().splitlines()
+    if isinstance(source, str):
+        return source.splitlines()
+    return source.read().splitlines()
 
 
 def _idx_str(alpha):
@@ -356,9 +425,7 @@ def _parse_idx(text, n, where):
 
 def write_sequence(seq, target):
     """Write a moment sequence as versioned structured text (round-trip exact)."""
-    own = isinstance(target, str)
-    fh = open(target, "w") if own else target
-    try:
+    with _sink(target) as fh:
         fh.write(f"{_FORMAT_NAME} {_FORMAT_VERSION}\n")
         fh.write(f"mode {seq.mode}\n")
         fh.write(f"n {seq.n}\n")
@@ -371,9 +438,6 @@ def write_sequence(seq, target):
             for a, v in sorted(seq.values.items()):
                 v = complex(v)
                 fh.write(f"y {_idx_str(a)} {_fmt(v.real)} {_fmt(v.imag)}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def sequence_to_text(seq):
@@ -384,14 +448,7 @@ def sequence_to_text(seq):
 
 def read_sequence(source):
     """Parse a moment-sequence file (path, file object, or text)."""
-    if isinstance(source, str) and "\n" not in source:
-        with open(source) as fh:
-            lines = fh.read().splitlines()
-    elif isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source.read().splitlines()
-
+    lines = _source_lines(source)
     header = {}
     values = {}
     mode = None
@@ -453,5 +510,7 @@ def read_sequence(source):
         d = int(header["d"])
     except ValueError:
         raise ParseError("bad d") from None
+    if d < 0:
+        raise ParseError("need d >= 0")
     seq = MomentSequence(n=n, d=d, mode=header["mode"], values=values)
     return seq

@@ -241,6 +241,14 @@ class TestErrorMapping:
         code, _ = run(["extract", path])
         assert code == 3
 
+    def test_unreadable_input_path(self, tmp_path, capsys):
+        code, out = run(["extract", str(tmp_path / "missing.momseq")])
+        assert code == 22
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("momext: FileNotFoundError: ")
+        assert err.count("\n") == 1
+
     def test_interpolate_rejects_paired_file(self, tmp_path):
         path = write_fixture(tmp_path, pd.ex5_seq(3), "paired.momseq")
         code, _ = run(["interpolate", path])

@@ -5,7 +5,9 @@ from momext import linalg
 from momext.errors import (
     BasisDegenerate,
     NotFlat,
+    NotHermitian,
     NotHyponormal,
+    ParseError,
     ShiftInconsistent,
 )
 from momext.extraction import (
@@ -157,6 +159,29 @@ class TestSimultaneousDiagonalize:
 
 
 class TestExtractMeasure:
+    def test_one_eigendecomposition_of_the_moment_matrix(self, monkeypatch):
+        # M_3 is 10x10 for n = 2; every other matrix decomposed here is smaller
+        seq = pd.brute_moments_paired(pd.EX3_ATOMS, [0.3, 0.7], n=2, d=3)
+        sizes = []
+        original = linalg.hermitian_eig
+
+        def counting(a, *args, **kwargs):
+            sizes.append(len(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "hermitian_eig", counting)
+        _, rep = extract_measure(seq, dk=1)
+        assert rep.certification == "certified"
+        assert sizes.count(10) == 1
+
+    def test_nonhermitian_moment_matrix_rejected(self):
+        # one off-diagonal moment nudged without its mirror: the ranks of the
+        # Hermitian part ignore it at this rank_tol, the root factor must not
+        seq = pd.brute_moments_paired([(0.5 + 0.5j,)], [1.0], n=1, d=2)
+        seq.values[((0,), (1,))] += 1e-4
+        with pytest.raises(NotHermitian):
+            extract_measure(seq, dk=1, tol=Tolerances(rank_tol=1e-2))
+
     def test_example3(self):
         meas, rep = extract_measure(pd.ex3_seq(), dk=2, tol=PRINTED)
         assert len(meas.atoms) == 2
@@ -392,6 +417,15 @@ class TestMeasureIO:
         for a, b in zip(meas.atoms, back.atoms):
             assert max(abs(x - y) for x, y in zip(a, b)) == 0.0
         np.testing.assert_allclose(back.weights, meas.weights)
+
+    def test_parse_errors(self):
+        for text in (
+            "mode conjugate_transpose\nn 1\natom 1 0 w 1 0\n",            # no header
+            "measure 9\nmode conjugate_transpose\nn 1\natom 1 0 w 1 0\n",  # version
+            "measure 1\nmode conjugate_transpose\nn 1\natom 1 w 1 0\n",    # coordinates
+        ):
+            with pytest.raises(ParseError):
+                read_measure(text)
 
 
 def _demo(name):

@@ -15,7 +15,12 @@ from momext.hierarchy import (
     read_sdpa,
     realify,
 )
-from momext.moment import enumerate_indices
+from momext.moment import (
+    enumerate_indices,
+    hyponormality_block,
+    localizing_matrix,
+    moment_matrix,
+)
 
 import paperdata as pd
 
@@ -165,6 +170,49 @@ class TestEnforcementPaths:
             assert len(measure.atoms) == 1
             assert max(abs(measure.atoms[0][k] - c[k]) for k in range(3)) <= 1e-4
             assert report.certification == "certified"
+
+
+def _ball_problem(n, real_vars):
+    """min Re z_1 over 4 - sum |z_k|^2 + 0.3 (conj(z_1) z_n + conj(z_n) z_1) >= 0
+    and |z_1|^2 <= 2; n = 1 folds the cross term into |z_1|^2."""
+    zero = ",".join("0" * n)
+    unit = [",".join("1" if i == k else "0" for i in range(n)) for k in range(n)]
+    lines = ["pop 1", f"n {n}", f"vars {'real' if real_vars else 'complex'}", "minimize",
+             f"term {unit[0]} {zero} 0.5 0", f"term {zero} {unit[0]} 0.5 0",
+             "constraint ineq", f"term {zero} {zero} 4 0"]
+    lines += [f"term {e} {e} -1 0" for e in unit]
+    lines += [f"term {unit[0]} {unit[-1]} 0.3 0", f"term {unit[-1]} {unit[0]} 0.3 0"]
+    lines += ["constraint ineq", f"term {zero} {zero} 2 0", f"term {unit[0]} {unit[0]} -1 0"]
+    return parse_problem("\n".join(lines) + "\n")
+
+
+class TestBlocksMatchDataSide:
+    """Each relaxation block at values_from_sequence(y) is the data-side matrix of y."""
+
+    @pytest.mark.parametrize("real_vars", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_blocks_at_moment_values(self, n, real_vars):
+        d = 2
+        problem = _ball_problem(n, real_vars)
+        rng = np.random.default_rng(20 + n)
+        atoms = [tuple(0.7 * rng.standard_normal(n) if real_vars else
+                       0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+                 for _ in range(3)]
+        seq = pd.brute_moments_paired(atoms, rng.uniform(0.2, 1.0, 3), n=n, d=d)
+        sdp, rmap = assemble_relaxation(problem, d, enforce_hyponormality=True)
+        x = rmap.values_from_sequence(seq)
+        expected = {"moment": moment_matrix(seq, d).matrix}
+        for ci, con in enumerate(problem.constraints):
+            expected[f"localizing:{ci}"] = localizing_matrix(seq, con.poly, d).matrix
+        if n == 1:
+            expected["hypo:uni"] = hyponormality_block(seq, 1, 1, 1).matrix
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                expected[f"hypo:{i},{j}"] = hyponormality_block(seq, 1, i, j).matrix
+        assert [b.name for b in sdp.blocks] == list(expected)
+        for block in sdp.blocks:
+            np.testing.assert_allclose(block.evaluate(x), expected[block.name],
+                                       rtol=0, atol=1e-12)
 
 
 class TestRelaxationMap:

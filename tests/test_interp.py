@@ -240,3 +240,5 @@ class TestModelIO:
             read_model("expsum 1\nn\nterm 1 0 0.5 0\n")
         with pytest.raises(ParseError):
             read_model("expsum 1\nn 1\nterm nan 0 0.5 0\n")
+        with pytest.raises(ParseError):
+            read_model("expsum 7\nn 1\nterm 1 0 0.5 0\n")  # unknown version

@@ -86,6 +86,15 @@ class TestPsdRootFactor:
             lead = x[i][np.abs(x[i]) > 1e-8][0]
             assert abs(lead.imag) <= 1e-10 and lead.real > 0
 
+    def test_precomputed_eig_still_checks_hermitian(self):
+        a = np.array([[2.0, 1.0], [1.0 + 1e-3, 2.0]])
+        sym = (a + a.conj().T) / 2
+        eig = linalg.hermitian_eig(sym)
+        np.testing.assert_allclose(linalg.psd_root_factor(sym, eig=eig),
+                                   linalg.psd_root_factor(sym), atol=1e-14)
+        with pytest.raises(NotHermitian):
+            linalg.psd_root_factor(a, eig=eig)
+
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):
             linalg.psd_root_factor(np.diag([1.0, -1.0]).astype(complex))

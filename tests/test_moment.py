@@ -11,6 +11,7 @@ from momext.moment import (
     enumerate_indices,
     hankel_matrix,
     hyponormality_block,
+    index_add,
     localizing_matrix,
     moment_matrix,
     read_sequence,
@@ -205,6 +206,72 @@ class TestHyponormalityBlock:
             hyponormality_block(pd.ex1_seq(), dk=3, i=1, j=1)
 
 
+def _unit(n, k):
+    return tuple(int(i == k - 1) for i in range(n))
+
+
+def _multi_term_poly(n):
+    """g = 3 - sum |z_k|^2 + c conj(z_1) z_n + conj(c) conj(z_n) z_1 + |z_1|^4 / 4."""
+    zero = (0,) * n
+    e1, en = _unit(n, 1), _unit(n, n)
+    terms = {(zero, zero): 3.0}
+    for k in range(1, n + 1):
+        terms[(_unit(n, k), _unit(n, k))] = -1.0
+    c = 0.3 + 0.2j
+    terms[(e1, en)] = terms.get((e1, en), 0.0) + c
+    terms[(en, e1)] = terms.get((en, e1), 0.0) + np.conj(c)
+    terms[(index_add(e1, e1), index_add(e1, e1))] = 0.25
+    return HermitianPoly(n, terms)
+
+
+def _random_sequence(rng, n, d, mode):
+    atoms = [tuple(0.8 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+             for _ in range(3)]
+    weights = rng.uniform(0.2, 1.0, 3)
+    if mode == "paired":
+        return pd.brute_moments_paired(atoms, weights, n=n, d=d)
+    return pd.brute_moments_hankel(atoms, weights, n=n, d=d)
+
+
+class TestGathersMatchBruteForce:
+    """moment, localizing and hyponormality matrices against seq.get loops."""
+
+    @pytest.mark.parametrize("mode", ["paired", "hankel"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_matrix(self, n, mode):
+        d = 3
+        seq = _random_sequence(np.random.default_rng(10 + n), n, d, mode)
+        labels = enumerate_indices(n, d)
+
+        ref = np.array([[seq.get(a, b) for b in labels] for a in labels])
+        np.testing.assert_array_equal(moment_matrix(seq, d).matrix, ref)
+
+        g = _multi_term_poly(n)
+        small = enumerate_indices(n, d - g.k)
+        ref = np.zeros((len(small), len(small)), dtype=complex)
+        for (gamma, delta), c in g.terms.items():
+            for i, a in enumerate(small):
+                for j, b in enumerate(small):
+                    ref[i, j] += c * seq.get(index_add(a, gamma), index_add(b, delta))
+        np.testing.assert_allclose(localizing_matrix(seq, g, d).matrix, ref,
+                                   rtol=0, atol=1e-13)
+
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        for dk in (1, 2):
+            sub = enumerate_indices(n, d - dk)
+            for i, j in pairs:
+                units = [_unit(n, i)] if i == j else [_unit(n, i), _unit(n, j)]
+                shifts = [(0,) * n] + units
+                ref = np.array([
+                    [seq.get(index_add(a, gamma), index_add(b, delta))
+                     for gamma in shifts for b in sub]
+                    for delta in shifts for a in sub
+                ])
+                blk = hyponormality_block(seq, dk, i, j)
+                np.testing.assert_array_equal(blk.matrix, ref)
+                assert blk.row_labels == sub * len(shifts)
+
+
 class TestSequenceIO:
     def test_round_trip_bit_faithful(self):
         seq = pd.ex3_seq()
@@ -246,6 +313,7 @@ class TestSequenceIO:
             "momseq 1\nmode paired\nn 0\nd 0\n",               # n < 1
             "momseq 1\nmode paired\nn 1\nd 0\ny 0 0 nan 0\n",  # non-finite
             "momseq 1\nmode paired\nn 1\nd 0\ny 0 0 1 inf\n",
+            "momseq 1\nmode paired\nn 1\nd -1\n",             # d < 0
         ):
             with pytest.raises(ParseError):
                 read_sequence(text)

@@ -238,7 +238,8 @@ def cmd_check(args):
     rep.add("structure.toeplitz", flags.toeplitz)
     sym = (mm.matrix + mm.matrix.conj().T) / 2.0
     vals, _ = linalg.hermitian_eig(sym, tol=np.inf)
-    flat = check_flatness(seq, seq.d, args.gap, tol.rank_tol, matrix=mm.matrix, eigenvalues=vals)
+    flat = check_flatness(seq, seq.d, args.gap, tol.rank_tol, matrix=mm.matrix,
+                          values=vals if seq.mode == "paired" else None)
     rep.add("ranks", flat.ranks)
     rep.add("flat_step1", flat.flat_1)
     rep.add("flat_gap", flat.flat_dk)
@@ -295,7 +296,7 @@ def cmd_solve(args):
     if not ball:
         rep.add("note", "no ball constraint detected; shift boundedness not guaranteed a priori")
     feats = feasibility_report(measure, problem, tol=max(tol.dedup_tol, 1e-6) * 10,
-                               seq=seq, dk=problem.d_K)
+                               seq=seq, dk=problem.d_K, moment_spectrum=report.moment_spectrum)
     for row in feats:
         rep.add(
             f"feasibility.constraint{row.index}",

@@ -31,6 +31,7 @@ from .moment import (
     _fmt,
     _sink,
     _source_lines,
+    _tolerant_order,
     classify_structure,
     hyponormality_block,
     index_count,
@@ -115,9 +116,9 @@ class AtomicMeasure:
         return len(self.atoms[0]) if self.atoms else 0
 
     def sorted(self):
-        order = sorted(
-            range(len(self.atoms)),
-            key=lambda k: tuple((z.real, z.imag) for z in self.atoms[k]),
+        """Atoms in lexicographic (re, im) order; round-off differences tie."""
+        order = _tolerant_order(
+            [tuple(x for z in atom for x in (z.real, z.imag)) for atom in self.atoms]
         )
         return AtomicMeasure(
             [self.atoms[k] for k in order],
@@ -171,6 +172,7 @@ class ExtractionReport:
     flat_dk: bool = False
     rank: int = 0
     min_moment_eig: float = 0.0
+    moment_spectrum: object = None  # eigenvalues of the Hermitian part of M_d, ascending
     structure: object = None
     hypo_min_eig: float | None = None
     hypo_commutator: float | None = None
@@ -184,29 +186,41 @@ class ExtractionReport:
     notes: list = field(default_factory=list)
 
 
-def check_flatness(seq, d=None, dk=1, tol=1e-7, matrix=None, eigenvalues=None):
+def check_flatness(seq, d=None, dk=1, tol=1e-7, matrix=None, values=None):
     """Ranks of the nested moment matrices M_0(y) .. M_d(y).
 
     Paired (Hermitian) data is ranked through its eigenvalues; Hankel data
     is complex symmetric, so its rank comes from the singular values. A
-    caller that already holds M_d(y) passes it as `matrix`, and the
-    eigenvalues of its Hermitian part as `eigenvalues`.
+    caller that already holds M_d(y) passes it as `matrix`, and the values
+    that rank it (eigenvalues of its Hermitian part, or singular values for
+    Hankel data) as `values`.
+
+    M_d is ranked by `numeric_rank`. Let delta be the largest magnitude it
+    discards, at least eps * max(1, ||M_d||). A leading M_t counts a value
+    when it is above delta and either passes `numeric_rank`'s own test or
+    stands 1/tol above delta. Its values past index rank M_d are at most
+    delta (interlacing), so rank M_t never exceeds rank M_d, and a value
+    well clear of everything M_d discards is not lost to the relative
+    threshold of the smaller matrix.
     """
     d = seq.d if d is None else d
     big = moment_matrix(seq, d).matrix if matrix is None else matrix
-    ranks = []
-    for t in range(d + 1):
-        m = index_count(seq.n, t)
-        sub = big[:m, :m]
+
+    def magnitudes(sub):
         if seq.mode == "hankel":
-            _, sigma = linalg.takagi((sub + sub.T) / 2.0, tol=np.inf)
-            ranks.append(linalg.numeric_rank(sigma, tol))
-        elif t == d and eigenvalues is not None:
-            ranks.append(linalg.numeric_rank(eigenvalues, tol))
-        else:
-            vals, _ = linalg.hermitian_eig((sub + sub.conj().T) / 2.0, tol=np.inf)
-            ranks.append(linalg.numeric_rank(vals, tol))
-    return FlatnessInfo(ranks=ranks, d=d, dk=dk)
+            return linalg.takagi((sub + sub.T) / 2.0, tol=np.inf).values
+        return np.abs(linalg.hermitian_eig((sub + sub.conj().T) / 2.0, tol=np.inf).values)
+
+    top = magnitudes(big) if values is None else np.abs(np.asarray(values, dtype=float))
+    r_d = linalg.numeric_rank(top, tol)
+    discarded = np.sort(top)[: top.size - r_d]
+    delta = max(discarded.max(initial=0.0), np.finfo(float).eps * max(1.0, top.max(initial=0.0)))
+    ranks = []
+    for t in range(d):
+        vals = magnitudes(big[: index_count(seq.n, t), : index_count(seq.n, t)])
+        counted = (vals > tol * max(1.0, vals.max())) | (tol * vals > delta)
+        ranks.append(int(np.sum(counted & (vals > delta))))
+    return FlatnessInfo(ranks=ranks + [r_d], d=d, dk=dk)
 
 
 def compute_shifts(x, labels, basis, mode, tol=1e-6):
@@ -456,15 +470,22 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
     mm = moment_matrix(seq, d)
     report.structure = classify_structure(mm, tol.struct_tol)
 
-    # the one eigendecomposition of M_d: rank at order d, smallest
-    # eigenvalue, root factor and certification scale
+    # the one eigendecomposition of M_d: rank at order d of paired data,
+    # smallest eigenvalue, root factor and certification scale
     eig = linalg.hermitian_eig((mm.matrix + mm.matrix.conj().T) / 2.0, tol=np.inf)
-    flat = check_flatness(seq, d, dk, tol.rank_tol, matrix=mm.matrix, eigenvalues=eig.values)
+    rank_values = eig.values if seq.mode == "paired" else None
+    tk = None
+    if mode == TRANSPOSE and seq.mode == "hankel":
+        # the one Takagi factorization of M_d: its rank and the factor
+        tk = linalg.takagi(mm.matrix, max(tol.psd_tol, 1e-10))
+        rank_values = tk.values
+    flat = check_flatness(seq, d, dk, tol.rank_tol, matrix=mm.matrix, values=rank_values)
     report.ranks = flat.ranks
     report.flat_1 = flat.flat_1
     report.flat_dk = flat.flat_dk
     report.rank = flat.r_d
     report.min_moment_eig = float(eig.values[0])
+    report.moment_spectrum = eig.values
     report.ball_constraint_seen = None  # cmd_solve fills this in when a problem is known
 
     if not flat.flat_1:
@@ -476,7 +497,7 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
     if mode == CONJUGATE:
         x = linalg.psd_root_factor(mm.matrix, tol.psd_tol, tol.rank_tol, eig=eig)
     else:
-        u, sigma = linalg.takagi(mm.matrix, max(tol.psd_tol, 1e-10))
+        u, sigma = tk or linalg.takagi(mm.matrix, max(tol.psd_tol, 1e-10))
         r = linalg.numeric_rank(sigma, tol.rank_tol)
         x = np.sqrt(sigma[:r])[:, None] * u[:, :r].T
 
@@ -585,23 +606,26 @@ def data_hyponormality_min_eig(seq, dk):
 
 
 def verify_measure(measure, seq):
-    """Worst absolute moment-reconstruction error of a measure against data."""
-    worst = 0.0
-    for key, v in seq.values.items():
-        v = complex(v)
-        if seq.mode == "paired":
-            a, b = key
-            acc = sum(
-                w * np.prod(np.conj(np.asarray(z)) ** np.asarray(a)) * np.prod(np.asarray(z) ** np.asarray(b))
-                for z, w in zip(measure.atoms, measure.weights)
-            )
-        else:
-            acc = sum(
-                w * np.prod(np.asarray(z) ** np.asarray(key))
-                for z, w in zip(measure.atoms, measure.weights)
-            )
-        worst = max(worst, abs(acc - v))
-    return float(worst)
+    """Worst absolute moment-reconstruction error of a measure against data.
+
+    One Vandermonde-style product: the atoms raised to every key's
+    exponents, times the weights.
+    """
+    if not seq.values:
+        return 0.0
+    atoms = np.asarray(measure.atoms, dtype=complex).reshape(-1, seq.n)
+    weights = np.asarray(measure.weights, dtype=complex)
+    keys = np.array(list(seq.values))  # (K, n), or (K, 2, n) for paired data
+    data = np.array(list(seq.values.values()), dtype=complex)
+
+    def powers(z, exps):  # (K, atoms): prod_i z_i ** exps_i
+        return np.prod(z[None, :, :] ** exps[:, None, :], axis=2)
+
+    if seq.mode == "paired":
+        basis = powers(atoms.conj(), keys[:, 0]) * powers(atoms, keys[:, 1])
+    else:
+        basis = powers(atoms, keys)
+    return float(np.abs(basis @ weights - data).max())
 
 
 @dataclass
@@ -614,19 +638,22 @@ class ConstraintFeasibility:
     expected_zero_count: int | None
 
 
-def feasibility_report(measure, problem, tol=1e-6, seq=None, dk=None):
+def feasibility_report(measure, problem, tol=1e-6, seq=None, dk=None, moment_spectrum=None):
     """Evaluate every constraint at every atom.
 
     With the solved sequence supplied, also reports the theoretical count of
     atoms lying on each constraint boundary, rank M_d(y) - rank M_{d-dk}(g_i y).
+    A caller that holds the eigenvalues of the Hermitian part of M_d(y)
+    (`ExtractionReport.moment_spectrum`) passes them as `moment_spectrum`.
     """
     rows = []
     rank_d = None
     if seq is not None:
         dk = problem.d_K if dk is None else dk
-        mm = moment_matrix(seq, seq.d).matrix
-        vals, _ = linalg.hermitian_eig((mm + mm.conj().T) / 2.0, tol=np.inf)
-        rank_d = linalg.numeric_rank(vals, 1e-5)
+        if moment_spectrum is None:
+            mm = moment_matrix(seq, seq.d).matrix
+            moment_spectrum, _ = linalg.hermitian_eig((mm + mm.conj().T) / 2.0, tol=np.inf)
+        rank_d = linalg.numeric_rank(moment_spectrum, 1e-5)
     for idx, con in enumerate(problem.constraints):
         vals = [float(np.real(con.poly.eval(np.asarray(a)))) for a in measure.atoms]
         if con.kind == "eq":

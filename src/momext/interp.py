@@ -23,7 +23,15 @@ from .errors import (
     RankNotStabilized,
 )
 from .extraction import TRANSPOSE, Tolerances, extract_measure
-from .moment import MomentSequence, _fmt, _sink, _source_lines, enumerate_indices, hankel_matrix
+from .moment import (
+    MomentSequence,
+    _fmt,
+    _sink,
+    _source_lines,
+    _tolerant_order,
+    enumerate_indices,
+    hankel_matrix,
+)
 
 log = logging.getLogger(__name__)
 
@@ -67,7 +75,11 @@ class ExpSumModel:
     terms: list = field(default_factory=list)
 
     def canonical(self, merge_tol=1e-9, weight_floor=0.0):
-        """Wrap frequencies, merge coincident terms, drop null weights, sort."""
+        """Wrap frequencies, merge coincident terms, drop null weights, sort.
+
+        Terms sort lexicographically on (re, im) of their frequencies, with
+        entries that differ only by round-off tied.
+        """
         merged = []
         for term in (t.canonical() for t in self.terms):
             for other in merged:
@@ -80,10 +92,10 @@ class ExpSumModel:
                 merged.append(ExpTerm(term.weight, term.frequencies))
         scale = max((abs(t.weight) for t in merged), default=0.0)
         merged = [t for t in merged if abs(t.weight) > weight_floor * max(scale, 1e-300)]
-        merged.sort(
-            key=lambda t: tuple(x for f in t.frequencies for x in (f.real, f.imag))
+        order = _tolerant_order(
+            [tuple(x for f in t.frequencies for x in (f.real, f.imag)) for t in merged]
         )
-        return ExpSumModel(self.n, merged)
+        return ExpSumModel(self.n, [merged[k] for k in order])
 
 
 def eval_expsum(model, z):

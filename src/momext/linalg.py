@@ -1,9 +1,11 @@
 """Dense complex linear-algebra kernels.
 
 Everything here operates on plain numpy arrays (complex128) at desk scale
-(matrices up to ~100x100). The Hermitian eigensolver is a cyclic complex
-Jacobi iteration; the Takagi factorization is built on top of it via the
-eigendecomposition of S S^* with per-cluster phase correction.
+(matrices up to ~100x100). The Hermitian eigensolver is LAPACK's, through
+`np.linalg.eigh`; the Takagi factorization is built on the LAPACK SVD of S
+(`np.linalg.svd`) with per-cluster phase correction. Results are
+reproducible bit for bit on one machine with one BLAS/LAPACK build; another
+build may move them in the last digits.
 """
 
 from __future__ import annotations
@@ -47,69 +49,37 @@ def _as_complex_matrix(a):
 
 
 def _check_hermitian(a, tol):
-    """Frobenius norm of a; NotHermitian when a - a^* exceeds tol times it."""
+    """NotHermitian when a - a^* exceeds tol times the Frobenius norm of a."""
     scale = np.linalg.norm(a)
     asym = np.linalg.norm(a - a.conj().T)
     if asym > tol * max(scale, 1e-300):
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds {tol:.1e} * ||a||")
-    return scale
+
+
+def _eigh(a):
+    """np.linalg.eigh, with LAPACK's failure to converge as NoConvergence."""
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigh did not converge: {exc}") from None
 
 
 def hermitian_eig(a, tol=1e-9):
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (`np.linalg.eigh`).
 
     Returns eigenvalues in ascending order and a unitary matrix of
-    eigenvectors. `tol` bounds the accepted Hermitian asymmetry of the
-    input relative to its norm.
+    eigenvectors of the Hermitian part (a + a^*)/2. `tol` bounds the
+    accepted Hermitian asymmetry of the input relative to its norm.
     """
     a = _as_complex_matrix(a)
     n = a.shape[0]
     if n == 0:
         return EigResult(np.zeros(0), np.zeros((0, 0), dtype=complex))
-    scale = _check_hermitian(a, tol)
+    _check_hermitian(a, tol)
     work = (a + a.conj().T) / 2.0
-    vecs = np.eye(n, dtype=complex)
     if n == 1:
-        return EigResult(np.array([work[0, 0].real]), vecs)
-
-    stop = 1e-14 * max(scale, 1e-300)
-    max_sweeps = 60
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(work - np.diag(np.diag(work)))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                mag = abs(apq)
-                if mag <= stop / (2.0 * n):
-                    continue
-                app = work[p, p].real
-                aqq = work[q, q].real
-                phase = apq / mag
-                tau = (aqq - app) / (2.0 * mag)
-                t = np.sign(tau) if tau != 0 else 1.0
-                t = t / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # 2x2 unitary diag(1, conj(phase)) @ [[c, s], [-s, c]]
-                g = np.array(
-                    [[c, s], [-s * np.conj(phase), c * np.conj(phase)]],
-                    dtype=complex,
-                )
-                work[:, [p, q]] = work[:, [p, q]] @ g
-                work[[p, q], :] = g.conj().T @ work[[p, q], :]
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = work[p, p].real
-                work[q, q] = work[q, q].real
-                vecs[:, [p, q]] = vecs[:, [p, q]] @ g
-    else:
-        raise NoConvergence(f"Jacobi sweep cap hit (off-norm {off:.3e})")
-
-    values = np.real(np.diag(work))
-    order = np.argsort(values, kind="stable")
-    return EigResult(values[order], vecs[:, order])
+        return EigResult(np.array([work[0, 0].real]), np.eye(1, dtype=complex))
+    return EigResult(*_eigh(work))
 
 
 def numeric_rank(eigenvalues, tol=DEFAULT_RANK_TOL):
@@ -182,18 +152,14 @@ def _joint_diag_real_symmetric(r, m, cluster_tol):
     Assumes r and m are commuting real symmetric matrices: diagonalize r,
     then diagonalize m restricted to each eigenvalue cluster of r.
     """
-    vals, vecs = hermitian_eig(r.astype(complex))
-    o = np.real(vecs)
-    # re-orthonormalize against residual imaginary dust
-    o, _ = np.linalg.qr(o)
+    vals, o = _eigh(r)
     spread = max(vals.max() - vals.min(), 1.0) if vals.size else 1.0
     for i, j in cluster_bounds(vals, cluster_tol * spread):
         if j - i > 1:
             block = o[:, i:j]
             sub = block.T @ m @ block
             sub = (sub + sub.T) / 2.0
-            _, svecs = hermitian_eig(sub.astype(complex))
-            o[:, i:j] = block @ np.real(svecs)
+            o[:, i:j] = block @ _eigh(sub)[1]
     return o
 
 
@@ -201,10 +167,12 @@ def takagi(s, tol=1e-8, cluster_tol=1e-8):
     """Autonne-Takagi factorization S = U diag(values) U^T.
 
     S must be complex symmetric; U is unitary and the values are the
-    singular values of S in descending order. Built from the Hermitian
-    eigendecomposition of S S^*: simple singular values get a per-vector
-    phase correction, clustered ones get a small complex-symmetric block
-    diagonalized through its commuting real/imaginary parts.
+    singular values of S in descending order. Built from the LAPACK SVD
+    S = Q diag(sigma) V^*: simple singular values get a per-vector phase
+    correction of their left singular vector, clustered ones get a small
+    complex-symmetric block diagonalized through its commuting real and
+    imaginary parts. (Eigenvectors of S S^* would serve too, but its
+    eigenvalues square the singular values, which loses the small ones.)
     """
     s = _as_complex_matrix(s)
     n = s.shape[0]
@@ -216,10 +184,10 @@ def takagi(s, tol=1e-8, cluster_tol=1e-8):
     if n == 0:
         return TakagiResult(np.zeros((0, 0), dtype=complex), np.zeros(0))
     s = (s + s.T) / 2.0
-    h = s @ s.conj().T
-    hvals, hvecs = hermitian_eig(h)
-    sigma = np.sqrt(np.clip(hvals, 0.0, None))[::-1]
-    q = hvecs[:, ::-1]
+    try:
+        q, sigma, _ = np.linalg.svd(s)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"svd did not converge: {exc}") from None
 
     u = np.zeros((n, n), dtype=complex)
     smax = max(sigma[0], 1.0) if sigma.size else 1.0
@@ -243,9 +211,8 @@ def takagi(s, tol=1e-8, cluster_tol=1e-8):
             d = np.diag(o.T @ b @ o)
             u[:, i:j] = block @ (o * np.exp(0.5j * np.angle(d))[None, :])
 
-    # Rayleigh refinement: eigenvalues of S S^* square the small singular
-    # values, so sqrt() only recovers them to ~sqrt(eps). The diagonal of
-    # U^* S conj(U) carries them at full precision.
+    # Rayleigh refinement: the diagonal of U^* S conj(U) gives each value
+    # for the phases chosen above, and its own phase corrects what is left.
     diag = np.einsum("ij,ij->j", u.conj(), s @ u.conj())
     keep = np.abs(diag) > 1e-300
     u[:, keep] = u[:, keep] * np.exp(0.5j * np.angle(diag[keep]))[None, :]

@@ -78,6 +78,22 @@ def index_count(n, d):
     return math.comb(n + d, d)
 
 
+def _tolerant_order(keys, rtol=1e-9):
+    """Indices sorting real tuples lexicographically, with near-equal entries tied.
+
+    Entries a, b tie when |a - b| <= rtol * max(1, |a|, |b|), so keys that
+    differ only by round-off (-0.1 against -0.10000000000000021) are
+    ordered by their next entry, not by the round-off.
+    """
+    def cmp(i, j):
+        for a, b in zip(keys[i], keys[j]):
+            if abs(a - b) > rtol * max(1.0, abs(a), abs(b)):
+                return -1 if a < b else 1
+        return 0
+
+    return sorted(range(len(keys)), key=functools.cmp_to_key(cmp))
+
+
 class Layout:
     """Graded-lex multi-indices |alpha| <= d over n variables, with shift tables.
 
@@ -326,28 +342,23 @@ def classify_structure(m, tol=1e-9):
 
     Hankel: entries agree whenever alpha+beta agree; Toeplitz: whenever
     alpha-beta agree. Purely advisory; comparisons use absolute tolerance.
+    Each entry is compared with the first entry, in row-major order, that
+    has the same key.
     """
     a = m.matrix
     hermitian = bool(np.all(np.abs(a - a.conj().T) <= tol))
-    sums, diffs = {}, {}
-    hankel = True
-    toeplitz = True
-    for i, ra in enumerate(m.row_labels):
-        for j, cb in enumerate(m.col_labels):
-            v = a[i, j]
-            skey = index_add(ra, cb)
-            dkey = tuple(x - y for x, y in zip(ra, cb))
-            if skey in sums:
-                if abs(v - sums[skey]) > tol:
-                    hankel = False
-            else:
-                sums[skey] = v
-            if dkey in diffs:
-                if abs(v - diffs[dkey]) > tol:
-                    toeplitz = False
-            else:
-                diffs[dkey] = v
-    return StructureFlags(hermitian=hermitian, hankel=hankel, toeplitz=toeplitz)
+    rows = np.asarray(m.row_labels)[:, None, :]
+    cols = np.asarray(m.col_labels)[None, :, :]
+    values = a.ravel()
+
+    def agrees(keys):
+        _, first, inverse = np.unique(
+            keys.reshape(values.size, -1), axis=0, return_index=True, return_inverse=True
+        )
+        return not np.any(np.abs(values - values[first[inverse.ravel()]]) > tol)
+
+    return StructureFlags(hermitian=hermitian, hankel=agrees(rows + cols),
+                          toeplitz=agrees(rows - cols))
 
 
 def hyponormality_block(seq, dk, i, j):

@@ -137,6 +137,24 @@ class TestSolveCommand:
         got = {tuple(np.round(np.real(a), 2)) for a in measure.atoms}
         assert got == {(1.0, 2.0), (2.0, 2.0), (2.0, 3.0)}
 
+    def test_no_matrix_decomposed_twice(self, monkeypatch):
+        # the feasibility report ranks M_3 with the eigenvalues the
+        # extraction computed
+        from momext import linalg
+
+        seen = []
+        original = linalg.hermitian_eig
+
+        def recording(a, *args, **kwargs):
+            seen.append(np.asarray(a).tobytes())
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "hermitian_eig", recording)
+        code, text = run(["solve", demo("triangle.pop"), "--order", "3",
+                          "--format", "structured"])
+        assert code == 0 and "expected_zeros=2" in text
+        assert len(seen) == len(set(seen))
+
 
 class TestInterpolationCommands:
     def test_sample_then_interpolate_round_trip(self, tmp_path):

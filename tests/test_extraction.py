@@ -25,7 +25,7 @@ from momext.extraction import (
     verify_measure,
     write_measure,
 )
-from momext.moment import enumerate_indices, moment_matrix
+from momext.moment import MomentSequence, enumerate_indices, index_count, moment_matrix
 
 import paperdata as pd
 
@@ -56,6 +56,34 @@ class TestCheckFlatness:
                                       n=1, d=1)
         flat = check_flatness(seq, 1, 1, tol=1e-8)
         assert flat.ranks == [1, 2] and not flat.flat_1
+
+    def test_ranks_never_exceed_the_rank_at_order_d(self):
+        # random atoms plus Hermitian (or Hankel) noise on both sides of
+        # rank_tol, with ||M_d|| up to ~1e4; ranking each M_t against its
+        # own norm alone let a noise value that M_d discards count in M_t
+        rng = np.random.default_rng(41)
+        for trial in range(400):
+            n, d = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            labels = enumerate_indices(n, d)
+            r = int(rng.integers(1, len(labels) + 2))
+            atoms = rng.uniform(-1.3, 1.3, (r, n)) + 1j * rng.uniform(-1.3, 1.3, (r, n))
+            weights = rng.uniform(0.1, 1.0, r) * 10.0 ** rng.uniform(-1, 3)
+            noise = 10.0 ** rng.uniform(-10, -2) * weights.sum()
+            if trial % 2:
+                v = np.array([[np.prod(z ** np.array(a)) for a in labels] for z in atoms])
+                e = rng.standard_normal((len(labels),) * 2) + 1j * rng.standard_normal(
+                    (len(labels),) * 2)
+                m = v.conj().T @ (weights[:, None] * v) + noise * (e + e.conj().T)
+                seq = MomentSequence(n=n, d=d, mode="paired", values={
+                    (a, b): m[i, j] for i, a in enumerate(labels) for j, b in enumerate(labels)})
+            else:
+                seq = MomentSequence(n=n, d=d, mode="hankel", values={
+                    s: np.sum(weights * np.prod(atoms ** np.array(s), axis=1))
+                    + noise * complex(*rng.standard_normal(2))
+                    for s in enumerate_indices(n, 2 * d)})
+            for tol in (1e-7, 1e-3):
+                flat = check_flatness(seq, d, 1, tol=tol)
+                assert max(flat.ranks) <= flat.r_d, (trial, tol, flat.ranks)
 
 
 class TestComputeShifts:
@@ -174,6 +202,24 @@ class TestExtractMeasure:
         assert rep.certification == "certified"
         assert sizes.count(10) == 1
 
+    def test_one_takagi_of_the_hankel_matrix_in_transpose_mode(self, monkeypatch):
+        # H_2 is 6x6 for n = 2: its Takagi factorization gives both the rank
+        # at order 2 and the factor
+        from momext.interp import sample_grid
+
+        seq = sample_grid(pd.ex7_model(), 2)
+        sizes = []
+        original = linalg.takagi
+
+        def counting(a, *args, **kwargs):
+            sizes.append(len(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "takagi", counting)
+        meas, rep = extract_measure(seq, mode=TRANSPOSE)
+        assert len(meas.atoms) == 2 and rep.ranks == [1, 2, 2]
+        assert sizes.count(6) == 1
+
     def test_nonhermitian_moment_matrix_rejected(self):
         # one off-diagonal moment nudged without its mirror: the ranks of the
         # Hermitian part ignore it at this rank_tol, the root factor must not
@@ -268,6 +314,57 @@ class TestExtractMeasure:
             np.testing.assert_allclose(base.weights, other.weights, atol=1e-8)
 
 
+# Two (n, d, r) = (2, 3, 6) measures whose M_2 has a sixth eigenvalue just
+# below rank_tol * ||M_2|| (1.578e-7 against 1e-7 * 15.23 in the first),
+# while M_3 discards nothing above 1.8e-15. Ranked on its own, M_2 had rank 5
+# against rank 6 of M_3, and extraction raised NotFlat. Each entry holds the
+# atoms, the weights and the extraction seed.
+ILL_CONDITIONED_M2 = [
+    (
+        [((0.7219175176966114 + 0.8277984383940025j), (-0.35858128724567473 + 0.6468709346604429j)),
+         ((0.614010612067691 - 0.7677812409424155j), (0.6331542449814295 + 0.9065613107961196j)),
+         ((-0.3629544190223889 + 0.8124030111365717j), (-0.1520018963413642 - 0.5105379105698629j)),
+         ((-0.13017630678918876 + 0.9910080290181108j), (0.9341640088274209 - 0.6289633925399377j)),
+         ((-0.55857028171224 + 0.3908319439120183j), (0.7971745185322172 - 0.1470610450512249j)),
+         ((0.7577915802382171 + 0.229062906053476j), (1.0385591246129349 - 0.6853705346946745j))],
+        [0.9048478111263398, 0.7493021970527951, 0.23015229094011627, 0.7616819285947602,
+         1.2103377481436548, 1.4248923490933947],
+        993145729,
+    ),
+    (
+        [((-0.5572639749544989 - 0.8347084621580155j), (-0.38829834337306174 - 0.4996014644858543j)),
+         ((-0.5755575352640067 - 0.7284214194876466j), (-0.06707484253464586 - 0.9281157792948147j)),
+         ((0.7164239944489248 - 0.26203369453500847j), (-0.8706785177295296 - 0.6696095876258052j)),
+         ((-0.3285139359225935 - 0.6039306454229963j), (-0.7449928686054748 - 0.9319359638378346j)),
+         ((-0.32765835514291936 + 0.5999417239593932j), (0.19868874072065215 - 1.04140179883016j)),
+         ((0.7809530519995541 - 0.8712340430735322j), (-0.5687954798099533 + 0.4749201272575972j))],
+        [1.0913571435818321, 0.31686378897733447, 0.25896486424746695, 1.3222280598306746,
+         0.7616135981037089, 1.141508491553173],
+        228230654,
+    ),
+]
+
+
+class TestIllConditionedLeadingMatrix:
+    @pytest.mark.parametrize("atoms, weights, seed", ILL_CONDITIONED_M2)
+    def test_recovered(self, atoms, weights, seed):
+        seq = pd.brute_moments_paired(atoms, weights, n=2, d=3)
+        meas, rep = extract_measure(seq, dk=1, mode=CONJUGATE, seed=seed)
+        assert rep.ranks == [1, 3, 6, 6]
+        _assert_measures_match(meas, atoms, weights, 1e-6)
+
+
+class TestAtomicMeasureSorted:
+    def test_round_off_in_a_coordinate_does_not_decide_the_order(self):
+        # the real parts are equal up to round-off, so the imaginary parts
+        # decide, in either input order
+        a, b = (complex(-0.10000000000000021, 0.5),), (complex(-0.1, -0.5),)
+        for atoms in ([a, b], [b, a]):
+            meas = AtomicMeasure(atoms, [1.0, 2.0] if atoms[0] == a else [2.0, 1.0], CONJUGATE)
+            got = meas.sorted()
+            assert got.atoms == [b, a] and got.weights == [2.0, 1.0]
+
+
 def _separated_atoms(rng, n, r, min_sep=0.35, box=1.2):
     while True:
         atoms = [tuple(box * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)))
@@ -342,6 +439,27 @@ class TestVerifyMeasure:
         seq = pd.brute_moments_paired([(0.5,), (-0.5,)], [1.0, 1.0], n=1, d=2)
         meas = AtomicMeasure([(0.5 + 0j,), (-0.5 + 0j,)], [1.1, 1.0], CONJUGATE)
         assert verify_measure(meas, seq) >= 0.1 * (1 - 1e-9)
+
+    def test_matches_a_loop_over_keys_and_atoms(self):
+        # reference: one moment at a time, summed over the atoms
+        def reference(meas, seq):
+            worst = 0.0
+            for key, v in seq.values.items():
+                a, b = key if seq.mode == "paired" else ((0,) * seq.n, key)
+                acc = sum(w * np.prod(np.conj(z) ** np.array(a)) * np.prod(np.array(z) ** np.array(b))
+                          for z, w in zip(meas.atoms, meas.weights))
+                worst = max(worst, abs(acc - v))
+            return worst
+
+        rng = np.random.default_rng(11)
+        for n, r, d in [(1, 3, 2), (2, 4, 3), (3, 2, 2), (2, 0, 1)]:
+            atoms = [tuple(rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) for _ in range(r)]
+            weights = list(rng.uniform(0.2, 1.0, r))
+            for seq, mode in [(pd.brute_moments_paired(atoms, weights, n=n, d=d), CONJUGATE),
+                              (pd.brute_moments_hankel(atoms, weights, n=n, d=d), TRANSPOSE)]:
+                meas = AtomicMeasure(atoms, [1.01 * w for w in weights], mode)
+                got, want = verify_measure(meas, seq), reference(meas, seq)
+                assert abs(got - want) <= 1e-14 * max(1.0, want)
 
 
 class TestFeasibilityReport:

@@ -187,6 +187,17 @@ class TestDampedSinusoid:
         assert_models_match(rec, model, 1e-8)
 
 
+class TestCanonicalOrder:
+    def test_round_off_in_a_real_part_does_not_decide_the_order(self):
+        # a conjugate pair whose real parts differ only by round-off sorts
+        # by imaginary part, in either input order
+        up = ExpTerm(1.0 + 0j, (complex(-0.10000000000000021, 1.0),))
+        down = ExpTerm(2.0 + 0j, (complex(-0.1, -1.0),))
+        for terms in ([up, down], [down, up]):
+            got = ExpSumModel(1, terms).canonical()
+            assert [t.weight for t in got.terms] == [2.0, 1.0]
+
+
 class TestEmitSignal:
     def test_constant_three_rows(self):
         model = ExpSumModel(1, [ExpTerm(1.0, (0.0,))])

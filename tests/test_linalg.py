@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from momext import linalg
-from momext.errors import NotHermitian, NotPSD, NotSymmetric
+from momext.errors import NoConvergence, NotHermitian, NotPSD, NotSymmetric
 
 import paperdata as pd
 
@@ -38,6 +38,14 @@ class TestHermitianEig:
     def test_rejects_nonhermitian(self):
         with pytest.raises(NotHermitian):
             linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NoConvergence):
+            linalg.hermitian_eig(np.eye(3))
 
     def test_hermitian_tolerance_is_relative(self):
         a = np.array([[1.0, 1.0 + 1e-12j], [1.0, 1.0]])
@@ -146,6 +154,24 @@ class TestTakagi:
             assert np.linalg.norm(u @ np.diag(vals) @ u.T - s) <= 1e-9 * max(
                 1, np.linalg.norm(s)
             )
+
+    def test_small_singular_values_keep_full_absolute_accuracy(self):
+        # the eigenvalues of S S^* square the singular values, which loses
+        # those below sqrt(eps) * ||S||; the SVD keeps them to eps * ||S||
+        rng = np.random.default_rng(7)
+        sv = np.array([3.0, 1.0, 1e-3, 1e-6, 1e-9, 1e-12])
+        for _ in range(10):
+            q = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+            u, vals = linalg.takagi(q @ np.diag(sv) @ q.T)
+            assert np.abs(vals - sv).max() <= 1e-14 * sv.max()
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(NoConvergence):
+            linalg.takagi(np.diag([2.0, 1.0]).astype(complex))
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(NotSymmetric):

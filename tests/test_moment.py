@@ -6,6 +6,7 @@ from momext import linalg
 from momext.errors import MissingMoment, OrderTooSmall, ParseError
 from momext.moment import (
     HermitianPoly,
+    MomentMatrix,
     MomentSequence,
     classify_structure,
     enumerate_indices,
@@ -157,6 +158,30 @@ class TestClassifyStructure:
     def test_example2_neither(self):
         flags = classify_structure(moment_matrix(pd.ex2_seq(), 2), tol=1e-3)
         assert flags.hermitian and not flags.hankel and not flags.toeplitz
+
+    def test_each_entry_is_compared_with_the_first_of_its_key(self):
+        # brute-force reference: the first entry in row-major order with a
+        # key sets the value that every later entry with it must match
+        def reference(m, tol):
+            flags = []
+            for key in (lambda a, b: index_add(a, b),
+                        lambda a, b: tuple(x - y for x, y in zip(a, b))):
+                first, ok = {}, True
+                for i, ra in enumerate(m.row_labels):
+                    for j, cb in enumerate(m.col_labels):
+                        v = first.setdefault(key(ra, cb), m.matrix[i, j])
+                        ok = ok and abs(m.matrix[i, j] - v) <= tol
+                flags.append(ok)
+            return flags
+
+        rng = np.random.default_rng(9)
+        for seq in (pd.ex5_seq(3), pd.ex6_seq(), pd.ex2_seq()):
+            base = moment_matrix(seq, seq.d)
+            for scale in (0.0, 0.6e-3, 1.2e-3):
+                m = MomentMatrix(base.matrix + scale * rng.uniform(-1, 1, base.matrix.shape),
+                                 base.row_labels, base.col_labels, base.kind)
+                flags = classify_structure(m, tol=1e-3)
+                assert [flags.hankel, flags.toeplitz] == reference(m, 1e-3)
 
     def test_toeplitz_hermitian_diagonal_constant_real(self):
         m = moment_matrix(pd.ex5_seq(3), 3).matrix

@@ -10,16 +10,25 @@ and anything written to stderr.
 Usage, from the root of a checkout:
 
     python3 tools/demo_reports.py > reports.txt
+    python3 tools/demo_reports.py --compare before.txt after.txt
 
 Two checkouts of the program give the same output exactly when every one
-of these reports is unchanged, so one `diff` of two such files compares them.
+of these reports is unchanged, so one `diff` of two such files compares
+them. That holds on one machine with one BLAS/LAPACK build: eigensolvers
+of different builds differ in the last digits. `--compare` tells such
+changes from real ones. It requires the same lines with the same keys,
+statuses, exit codes and counts (every token that is not a number, and
+every integer), and lets the other numbers differ by up to 1e-9 absolute.
+It prints each line that breaks this and exits 1 if there is one.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import os
+import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -28,6 +37,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from momext import cli  # noqa: E402
 
 COMMON = ["--format", "structured", "--seed", "0"]
+NUMBER_TOL = 1e-9
+INTEGER = re.compile(r"[+-]?\d+")
 MOMSEQ = "demo/roots_of_unity.momseq"
 
 COMMANDS = [
@@ -48,7 +59,51 @@ COMMANDS = [
 ]
 
 
-def main():
+def _number(token):
+    """The token as a complex number (reports write 1.5-2e-11i), or None."""
+    try:
+        return complex(token[:-1] + "j") if token.endswith("i") else complex(float(token))
+    except ValueError:
+        return None
+
+
+def _tokens_match(a, b):
+    if a == b:
+        return True
+    x, y = _number(a), _number(b)
+    if x is None or y is None or (INTEGER.fullmatch(a) and INTEGER.fullmatch(b)):
+        return False
+    return abs(x - y) <= NUMBER_TOL
+
+
+def compare(path_a, path_b):
+    """Print the lines of two report files that differ beyond round-off; exit status."""
+    with open(path_a) as fa, open(path_b) as fb:
+        lines_a, lines_b = fa.read().splitlines(), fb.read().splitlines()
+    if len(lines_a) != len(lines_b):
+        print(f"{len(lines_a)} lines against {len(lines_b)}")
+        return 1
+    moved = bad = 0
+    for no, (a, b) in enumerate(zip(lines_a, lines_b), 1):
+        if a == b:
+            continue
+        ta, tb = a.split(), b.split()
+        if len(ta) == len(tb) and all(map(_tokens_match, ta, tb)):
+            moved += 1
+        else:
+            bad += 1
+            print(f"line {no}:\n< {a}\n> {b}")
+    print(f"{len(lines_a)} lines: {moved} differ within {NUMBER_TOL:g}, {bad} beyond it")
+    return 1 if bad else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Print or compare the demo reports.")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two saved outputs instead of printing")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     os.chdir(ROOT)
     for argv in COMMANDS:
         argv = argv + COMMON

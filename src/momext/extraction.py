@@ -186,14 +186,14 @@ class ExtractionReport:
     notes: list = field(default_factory=list)
 
 
-def check_flatness(seq, d=None, dk=1, tol=1e-7, matrix=None, values=None):
+def check_flatness(seq, d=None, dk=1, tol=1e-7, matrix=None, values=None, leading=None):
     """Ranks of the nested moment matrices M_0(y) .. M_d(y).
 
     Paired (Hermitian) data is ranked through its eigenvalues; Hankel data
     is complex symmetric, so its rank comes from the singular values. A
     caller that already holds M_d(y) passes it as `matrix`, and the values
     that rank it (eigenvalues of its Hermitian part, or singular values for
-    Hankel data) as `values`.
+    Hankel data) as `values`, and those of M_0 .. M_{d-1} as `leading`.
 
     M_d is ranked by `numeric_rank`. Let delta be the largest magnitude it
     discards, at least eps * max(1, ||M_d||). A leading M_t counts a value
@@ -217,7 +217,10 @@ def check_flatness(seq, d=None, dk=1, tol=1e-7, matrix=None, values=None):
     delta = max(discarded.max(initial=0.0), np.finfo(float).eps * max(1.0, top.max(initial=0.0)))
     ranks = []
     for t in range(d):
-        vals = magnitudes(big[: index_count(seq.n, t), : index_count(seq.n, t)])
+        if leading is None:
+            vals = magnitudes(big[: index_count(seq.n, t), : index_count(seq.n, t)])
+        else:
+            vals = np.abs(np.asarray(leading[t], dtype=float))
         counted = (vals > tol * max(1.0, vals.max())) | (tol * vals > delta)
         ranks.append(int(np.sum(counted & (vals > delta))))
     return FlatnessInfo(ranks=ranks + [r_d], d=d, dk=dk)
@@ -452,8 +455,12 @@ def _dedup_atoms(atoms, weights, tol):
     return merged_atoms, merged_weights
 
 
-def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
+def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None, takagis=None):
     """Run the full extraction pipeline on a truncated moment sequence.
+
+    A caller that already holds the Takagi factorizations of H_0(y) ..
+    H_d(y) of Hankel data in transpose mode passes them as `takagis`; they
+    then give every rank and the factor.
 
     Returns (AtomicMeasure, ExtractionReport); raises an ExtractionError
     subclass (carrying the partial report) when the data does not admit the
@@ -474,12 +481,16 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
     # smallest eigenvalue, root factor and certification scale
     eig = linalg.hermitian_eig((mm.matrix + mm.matrix.conj().T) / 2.0, tol=np.inf)
     rank_values = eig.values if seq.mode == "paired" else None
-    tk = None
+    tk = leading = None
     if mode == TRANSPOSE and seq.mode == "hankel":
         # the one Takagi factorization of M_d: its rank and the factor
-        tk = linalg.takagi(mm.matrix, max(tol.psd_tol, 1e-10))
+        if takagis is None:
+            tk = linalg.takagi(mm.matrix, max(tol.psd_tol, 1e-10))
+        else:
+            tk, leading = takagis[d], [t.values for t in takagis[:d]]
         rank_values = tk.values
-    flat = check_flatness(seq, d, dk, tol.rank_tol, matrix=mm.matrix, values=rank_values)
+    flat = check_flatness(seq, d, dk, tol.rank_tol, matrix=mm.matrix, values=rank_values,
+                          leading=leading)
     report.ranks = flat.ranks
     report.flat_1 = flat.flat_1
     report.flat_dk = flat.flat_dk

@@ -118,18 +118,14 @@ def sample_grid(model, d):
     return MomentSequence(n=model.n, d=d, mode="hankel", values=values)
 
 
-def _hankel_rank(seq, d, rank_tol):
-    h = hankel_matrix(seq, d).matrix
-    _, sigma = linalg.takagi(h, tol=1e-6)
-    return linalg.numeric_rank(sigma, rank_tol)
-
-
 def interpolate(samples, d_max=None, tol=None, seed=0):
     """Recover an exponential-sum model from integer-grid samples.
 
     `samples` is a hankel-mode MomentSequence. The Hankel order grows from 1
     until the rank stabilizes, then the transpose-mode extraction runs and
     atom coordinates map to frequencies through the principal logarithm.
+    Each H_t is Takagi-factored once: the extraction reuses the search's
+    factorizations for its ranks and its factor.
     Returns (model, report); the report carries the resampling residual.
     """
     tol = tol or Tolerances()
@@ -139,17 +135,20 @@ def interpolate(samples, d_max=None, tol=None, seed=0):
     if d_max < 1:
         raise ValueError("need at least order-1 samples")
 
-    prev_rank = _hankel_rank(samples, 0, tol.rank_tol)
+    def factor(d):
+        return linalg.takagi(hankel_matrix(samples, d).matrix, max(tol.psd_tol, 1e-10))
+
+    takagis, ranks = [], []
     stabilized = None
-    for d in range(1, d_max + 1):
-        rank = _hankel_rank(samples, d, tol.rank_tol)
-        if rank == prev_rank:
+    for d in range(d_max + 1):
+        takagis.append(factor(d))
+        ranks.append(linalg.numeric_rank(takagis[-1].values, tol.rank_tol))
+        if d and ranks[-1] == ranks[-2]:
             stabilized = d
             break
-        prev_rank = rank
     if stabilized is None:
         raise RankNotStabilized(
-            f"Hankel rank still growing at order {d_max} (rank {prev_rank})"
+            f"Hankel rank still growing at order {d_max} (rank {ranks[-1]})"
         )
 
     sub = MomentSequence(
@@ -161,7 +160,8 @@ def interpolate(samples, d_max=None, tol=None, seed=0):
             for a in enumerate_indices(samples.n, 2 * stabilized)
         },
     )
-    measure, report = extract_measure(sub, d=stabilized, mode=TRANSPOSE, seed=seed, tol=tol)
+    measure, report = extract_measure(sub, d=stabilized, mode=TRANSPOSE, seed=seed, tol=tol,
+                                     takagis=takagis)
 
     terms = []
     for atom, w in zip(measure.atoms, measure.weights):

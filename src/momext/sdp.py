@@ -13,6 +13,18 @@ factored by Cholesky under adaptive diagonal regularization. Reported
 objectives: `primal_objective` is the moment-side value c.x, and
 `dual_objective` is the certificate-side lower bound; at every iterate the
 pair brackets the optimum up to the current residuals.
+
+Statuses: `optimal` (gap and residuals within tolerance), `max_iter` (the
+iteration cap ran out; the last iterate is returned), `stalled` and
+`infeasible_suspected` (inconsistent equality rows, a fully determined
+point outside the blocks, or residuals and gap both far from their targets
+when the loop ends). A stall means no further progress is possible: a
+certificate-side X_j lost definiteness to round-off, so X can take no
+step; a slack could not be factored; three steps in a row were tiny; or
+the iterates overflowed. A stalled solve returns the moment side (u and
+the primal value) of its last finite iterate, with the dual bound of the
+earlier iterate that brackets that value most tightly (the smallest
+max(gap, feas_p)); `gap` and `feasibility` describe that pair.
 """
 
 from __future__ import annotations
@@ -48,14 +60,19 @@ class Solution:
     feas_d). The dual value is a certified lower bound on the primal only
     once feas_p (the certificate side's constraint residual) is within the
     feasibility tolerance; earlier entries are progress data, not bounds.
+    `steps` holds one tuple per step taken, (ap, ad, sigma, schur_reg):
+    steps[i] leads from iterate i to iterate i + 1, with the damped step
+    lengths of X (ap) and of u and Z (ad), the centering parameter and the
+    diagonal regularization the Schur complement needed.
     """
 
     variables: np.ndarray
     primal_objective: float
     dual_objective: float
-    status: str  # optimal | max_iter | infeasible_suspected
+    status: str  # optimal | max_iter | stalled | infeasible_suspected
     iterations: int
     history: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
     gap: float = np.inf
     feasibility: float = np.inf
 
@@ -100,12 +117,28 @@ def _reduced_blocks(sdp, x_p, nullspace):
     return reduced
 
 
-def _max_step(m, dm):
-    """Largest alpha in (0, 1] with m + alpha*dm staying PSD."""
+def _cholesky(m):
+    """Lower Cholesky factor of m, or None when m is not positive definite."""
     try:
-        ell = np.linalg.cholesky(m)
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        return 0.0
+        return None
+
+
+def _slack_cholesky(z):
+    """(z', L) with z' = L L^T: z itself, or z plus the smallest ridge that
+    makes it factorizable; (z, None) when none does."""
+    scale = max(np.trace(z) / z.shape[0], 1e-300)
+    for ridge in (0.0, 1e-14, 1e-11):
+        zr = z + ridge * scale * np.eye(z.shape[0]) if ridge else z
+        ell = _cholesky(zr)
+        if ell is not None:
+            return zr, ell
+    return z, None
+
+
+def _max_step(ell, dm):
+    """Largest alpha in (0, 1] keeping M + alpha*dm PSD, given M = ell ell^T."""
     w = np.linalg.solve(ell, dm)
     w = np.linalg.solve(ell, w.T).T
     w = (w + w.T) / 2.0
@@ -157,82 +190,78 @@ def solve(sdp, opts=None):
     norm_c = max(1.0, float(np.linalg.norm(c_red)))
     norm_f0 = max([1.0] + [float(np.linalg.norm(cb)) for cb, _ in blocks])
     radius = max(10.0, norm_c, norm_f0)
+    # <A_k, M> = (flat @ M.ravel())[k]; the stacks are symmetric, so flat.T
+    # also stands for the transposed stack in the Schur complement
+    flats = [stack.reshape(f, -1) for _, stack in blocks]
+    nb = len(blocks)
 
     u = np.zeros(f)
     xs = [radius * np.eye(nn) for nn in sizes]  # certificate-side matrices
     zs = [radius * np.eye(nn) for nn in sizes]  # LMI slacks
 
     history = []
+    steps = []
     status = "max_iter"
     gap = np.inf
     worst_feas = np.inf
+    moment_side = None  # (u, pobj, feas_d) of the last finite iterate
     tiny_steps = 0
     it = 0
 
-    def slack(bi):
-        cb, stack = blocks[bi]
-        return cb + np.einsum("k,kij->ij", u, stack)
+    def dual_objective():
+        return -sum(np.tensordot(blocks[bi][0], xs[bi]) for bi in range(nb)) + const_off
 
     for it in range(1, opts.max_iterations + 1):
         # residuals: drive Z = S(u) and <A_jk, X_j> summed = c_k
-        rd = [slack(bi) - zs[bi] for bi in range(len(blocks))]
-        rp = c_red.copy()
-        for bi, (_, stack) in enumerate(blocks):
-            rp -= np.einsum("kij,ij->k", stack, xs[bi])
-        mu = sum(np.tensordot(xs[bi], zs[bi]) for bi in range(len(blocks))) / total_n
+        rd = [cb + (u @ flat).reshape(cb.shape) - z for (cb, _), flat, z in zip(blocks, flats, zs)]
+        rp = c_red - sum(flat @ x.ravel() for flat, x in zip(flats, xs))
+        mu = sum(np.tensordot(xs[bi], zs[bi]) for bi in range(nb)) / total_n
 
         pobj = float(c_red @ u) + const_off
-        dobj = -sum(np.tensordot(blocks[bi][0], xs[bi]) for bi in range(len(blocks)))
-        dobj = float(dobj) + const_off
+        dobj = float(dual_objective())
 
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         feas_p = float(np.linalg.norm(rp)) / norm_c
         feas_d = max(float(np.linalg.norm(r)) for r in rd) / norm_f0
         worst_feas = max(feas_p, feas_d)
         history.append((pobj, dobj, float(mu), feas_p, feas_d))
+        if not np.all(np.isfinite(history[-1])):
+            status = "stalled"  # the iterates overflowed: no step can recover
+            break
+        moment_side = (u, pobj, feas_d)
         if gap <= opts.gap_tolerance and worst_feas <= opts.feasibility_tolerance:
             status = "optimal"
             break
 
-        # factor slacks; on breakdown keep the best iterate reached so far
-        zinv = []
-        broke = False
-        for bi, z in enumerate(zs):
-            inv = None
-            for ridge in (0.0, 1e-14, 1e-11):
-                try:
-                    zr = z + ridge * max(np.trace(z) / z.shape[0], 1e-300) * np.eye(z.shape[0])
-                    ell = np.linalg.cholesky(zr)
-                    inv = np.linalg.solve(ell.T, np.linalg.solve(ell, np.eye(z.shape[0])))
-                    if ridge:
-                        zs[bi] = zr
-                    break
-                except np.linalg.LinAlgError:
-                    continue
-            if inv is None:
-                broke = True
-                break
-            zinv.append((inv + inv.T) / 2.0)
-        if broke:
+        # One Cholesky factor of each X_j and Z_j serves Zinv and all four
+        # step-length tests. An X_j that is no longer positive definite
+        # admits no step, so X could never move again; that, or a slack no
+        # ridge makes factorizable, is a stall.
+        x_chol = [_cholesky(x) for x in xs]
+        z_chol = []
+        for bi in range(nb):
+            zs[bi], ell = _slack_cholesky(zs[bi])
+            z_chol.append(ell)
+        if any(ell is None for ell in x_chol + z_chol):
+            status = "stalled"
             break
+        zinv = [np.linalg.solve(ell.T, np.linalg.solve(ell, np.eye(ell.shape[0])))
+                for ell in z_chol]
+        zinv = [(inv + inv.T) / 2.0 for inv in zinv]
 
         # Schur complement B[k,l] = sum_j tr(A_jk X_j A_jl Zinv_j)
-        schur = np.zeros((f, f))
-        for bi, (_, stack) in enumerate(blocks):
-            xa = np.einsum("ij,kjl->kil", xs[bi], stack)  # X A_k
-            xaz = np.einsum("kil,lm->kim", xa, zinv[bi])  # X A_k Zinv
-            schur += np.einsum("kim,lmi->kl", xaz, stack)
+        schur = sum((x @ stack @ inv).reshape(f, -1) @ flat.T
+                    for x, (_, stack), inv, flat in zip(xs, blocks, zinv, flats))
         schur = (schur + schur.T) / 2.0
 
         chol = None
         reg = 0.0
         base = max(np.trace(schur) / f, 1.0)
         for attempt in range(8):
-            try:
-                chol = np.linalg.cholesky(schur + reg * np.eye(f))
+            chol = _cholesky(schur + reg * np.eye(f))
+            if chol is not None:
                 break
-            except np.linalg.LinAlgError:
-                reg = base * (1e-14 if reg == 0.0 else reg / base * 100)
+            reg = base * (1e-14 if reg == 0.0 else reg / base * 100)
         if chol is None:
             raise NumericalBreakdown("Schur complement not factorizable")
 
@@ -240,70 +269,83 @@ def solve(sdp, opts=None):
             return np.linalg.solve(chol.T, np.linalg.solve(chol, v))
 
         def directions(sigma_mu, corr):
-            rhs = np.zeros(f)
-            for bi, (_, stack) in enumerate(blocks):
+            rhs = -rp
+            for bi in range(nb):
                 m = sigma_mu * zinv[bi] - xs[bi] - xs[bi] @ rd[bi] @ zinv[bi]
                 if corr is not None:
                     m -= corr[bi] @ zinv[bi]
-                rhs += np.einsum("kij,ij->k", stack, m)
+                rhs = rhs + flats[bi] @ m.ravel()
             # <A_k, dX> = rp_k  with dX = sigma*mu*Zinv - X - (X dZ + corr) Zinv
-            rhs -= rp
             du = schur_solve(rhs)
-            dz = [
-                np.einsum("k,kij->ij", du, blocks[bi][1]) + rd[bi]
-                for bi in range(len(blocks))
-            ]
+            dz = [(du @ flats[bi]).reshape(sizes[bi], sizes[bi]) + rd[bi] for bi in range(nb)]
             dx = []
-            for bi in range(len(blocks)):
+            for bi in range(nb):
                 m = sigma_mu * zinv[bi] - xs[bi] - xs[bi] @ dz[bi] @ zinv[bi]
                 if corr is not None:
                     m -= corr[bi] @ zinv[bi]
                 dx.append((m + m.T) / 2.0)
             return du, dx, dz
 
+        def step_lengths(dx, dz):
+            return (min(_max_step(ell, d) for ell, d in zip(x_chol, dx)),
+                    min(_max_step(ell, d) for ell, d in zip(z_chol, dz)))
+
         # predictor
         du_a, dx_a, dz_a = directions(0.0, None)
-        ap = min(_max_step(xs[bi], dx_a[bi]) for bi in range(len(blocks)))
-        ad = min(_max_step(zs[bi], dz_a[bi]) for bi in range(len(blocks)))
+        ap, ad = step_lengths(dx_a, dz_a)
         mu_aff = sum(
             np.tensordot(xs[bi] + ap * dx_a[bi], zs[bi] + ad * dz_a[bi])
-            for bi in range(len(blocks))
+            for bi in range(nb)
         ) / total_n
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
         # corrector
-        corr = [dx_a[bi] @ dz_a[bi] for bi in range(len(blocks))]
+        corr = [dx_a[bi] @ dz_a[bi] for bi in range(nb)]
         du, dx, dz = directions(sigma * mu, corr)
-        ap = opts.step_damping * min(_max_step(xs[bi], dx[bi]) for bi in range(len(blocks)))
-        ad = opts.step_damping * min(_max_step(zs[bi], dz[bi]) for bi in range(len(blocks)))
-        ap, ad = min(ap, 1.0), min(ad, 1.0)
+        ap, ad = step_lengths(dx, dz)
+        ap, ad = min(opts.step_damping * ap, 1.0), min(opts.step_damping * ad, 1.0)
+        steps.append((float(ap), float(ad), float(sigma), float(reg)))
 
         if max(ap, ad) < 1e-6:
             tiny_steps += 1
             if tiny_steps >= 3:
+                status = "stalled"
                 break
         else:
             tiny_steps = 0
 
-        for bi in range(len(blocks)):
+        for bi in range(nb):
             xs[bi] = xs[bi] + ap * dx[bi]
             zs[bi] = zs[bi] + ad * dz[bi]
         u = u + ad * du
 
-    variables = x_p + nullspace @ u
-    pobj = float(c_red @ u) + const_off
-    dobj = float(
-        -sum(np.tensordot(blocks[bi][0], xs[bi]) for bi in range(len(blocks)))
-    ) + const_off
+    if status == "stalled":
+        # The two sides certify different things. The moment side keeps
+        # improving up to the stall, and extraction wants the most converged
+        # moments, so its last finite iterate stands. The dual bound comes
+        # from the iterate, among those whose X was positive definite (each
+        # that took a step), that brackets this primal value most tightly.
+        u, pobj, feas_d = moment_side
+
+        def bracket(entry):
+            return max(abs(pobj - entry[1]) / (1.0 + abs(pobj)), entry[3])
+
+        _, dobj, _, feas_p, _ = min(history[: len(steps)] or history[-1:], key=bracket)
+        gap = abs(pobj - dobj) / (1.0 + abs(pobj))
+        worst_feas = max(feas_p, feas_d)
+    else:
+        pobj = float(c_red @ u) + const_off
+        dobj = float(dual_objective())
     if status != "optimal" and worst_feas > 1e-4 and gap > 1e-2:
         status = "infeasible_suspected"
     return Solution(
-        variables=variables,
+        variables=x_p + nullspace @ u,
         primal_objective=pobj,
         dual_objective=dobj,
         status=status,
         iterations=it,
         history=history,
+        steps=steps,
         gap=float(gap),
         feasibility=float(worst_feas),
     )

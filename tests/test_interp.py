@@ -97,6 +97,23 @@ class TestInterpolate:
         assert_models_match(model, pd.ex7_model().canonical(), 1e-8)
         assert report.reconstruction_residual <= 1e-8
 
+    def test_example7_factors_each_hankel_matrix_once(self, monkeypatch):
+        # the rank search factors H_0, H_1, H_2; the extraction reuses them
+        from momext import linalg
+
+        sizes = []
+        original = linalg.takagi
+
+        def counting(a, *args, **kwargs):
+            sizes.append(len(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "takagi", counting)
+        model, report = interpolate(sample_grid(pd.ex7_model(), 2), d_max=2)
+        assert report.ranks == [1, 2, 2]
+        assert_models_match(model, pd.ex7_model().canonical(), 1e-8)
+        assert sizes == [1, 3, 6]
+
     def test_single_term_order_one(self):
         truth = ExpSumModel(2, [ExpTerm(1.0, (0.1, -0.2))]).canonical()
         model, _ = interpolate(sample_grid(truth, 1), d_max=1)

@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from momext.hierarchy import SDPBlock, SDPProblem
+from momext.hierarchy import SDPBlock, SDPProblem, assemble_relaxation, parse_problem, realify
 from momext.sdp import SolveOptions, solve
 
 
@@ -137,3 +139,105 @@ class TestDeterminism:
         assert a.iterations == b.iterations
         np.testing.assert_array_equal(a.variables, b.variables)
         assert a.history == b.history
+
+
+DEMO = os.path.join(os.path.dirname(__file__), "..", "demo")
+# order-3 relaxations whose certificate-side X loses definiteness to
+# round-off before the residual target is reached
+STALLING_DEMOS = [("ellipse.pop", 3), ("torus.pop", 3), ("triangle.pop", 3)]
+
+
+def demo_relaxation(name, order):
+    problem = parse_problem(os.path.join(DEMO, name))
+    return realify(assemble_relaxation(problem, order)[0])
+
+
+@pytest.fixture(scope="module")
+def stalled_solutions():
+    return {name: solve(demo_relaxation(name, order)) for name, order in STALLING_DEMOS}
+
+
+def tightest_bound(sol, last):
+    """The (dual, feas_p) entry of history, among iterates that took a step,
+    that brackets the primal value of iterate `last` most tightly."""
+    p = sol.history[last][0]
+    return min(sol.history[: len(sol.steps)],
+               key=lambda e: max(abs(p - e[1]) / (1.0 + abs(p)), e[3]))
+
+
+class TestStall:
+    def test_demos_stop_early(self, stalled_solutions):
+        for name, sol in stalled_solutions.items():
+            assert sol.status == "stalled", name
+            assert sol.iterations < 60, (name, sol.iterations)
+            assert len(sol.history) == sol.iterations
+
+    def test_stall_returns_last_moments_and_tightest_bound(self, stalled_solutions):
+        for name, sol in stalled_solutions.items():
+            p, _, _, _, feas_d = sol.history[-1]
+            _, d, _, feas_p, _ = tightest_bound(sol, -1)
+            assert (sol.primal_objective, sol.dual_objective) == (p, d), name
+            assert sol.gap == abs(p - d) / (1.0 + abs(p)), name
+            assert sol.feasibility == max(feas_p, feas_d), name
+
+    def test_max_iter_only_at_the_cap(self, stalled_solutions):
+        solutions = list(stalled_solutions.values())
+        for seed, count in ((7, 40), (19, 10), (23, 1)):
+            rng = np.random.default_rng(seed)
+            solutions += [solve(random_strictly_feasible(rng)) for _ in range(count)]
+        for sol in solutions:
+            if sol.status == "max_iter":
+                assert sol.iterations == SolveOptions().max_iterations
+        capped = solve(demo_relaxation("ellipse.pop", 3), SolveOptions(max_iterations=20))
+        assert capped.status == "max_iter" and capped.iterations == 20
+
+    def test_steps_explain_each_iterate(self, stalled_solutions):
+        for name, sol in stalled_solutions.items():
+            # the last iterate takes no step: X_j could not be factored
+            assert len(sol.steps) == sol.iterations - 1, name
+            for ap, ad, sigma, reg in sol.steps:
+                assert 0.0 <= ap <= 1.0 and 0.0 <= ad <= 1.0
+                assert 0.0 <= sigma <= 1.0 and reg >= 0.0
+            assert all(len(entry) == 5 for entry in sol.history)
+
+    def test_each_matrix_factored_once_per_iterate(self, monkeypatch):
+        # blocks of sizes 3 and 5 over 9 variables: a Cholesky call's shape
+        # tells X_j and Z_j factorizations from the Schur complement's
+        rng = np.random.default_rng(5)
+        f, u0, c, blocks = 9, rng.standard_normal(9), np.zeros(9), []
+        for b, nn in enumerate((3, 5)):
+            stack = rng.standard_normal((f, nn, nn))
+            stack = (stack + np.transpose(stack, (0, 2, 1))) / 2
+            z0 = rng.standard_normal((nn, nn))
+            x0 = rng.standard_normal((nn, nn))
+            const = z0 @ z0.T + np.eye(nn) - np.einsum("k,kij->ij", u0, stack)
+            c += np.einsum("kij,ij->k", stack, x0 @ x0.T + np.eye(nn))
+            blocks.append(SDPBlock(f"b{b}", nn, const, {i: stack[i] for i in range(f)}))
+        shapes = []
+        original = np.linalg.cholesky
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        sol = solve(lmi_problem(blocks, c))
+        assert sol.status == "optimal" and len(sol.steps) == sol.iterations - 1 > 3
+        # one factor of X_j and one of Z_j per step taken
+        assert shapes.count((3, 3)) == 2 * len(sol.steps)
+        assert shapes.count((5, 5)) == 2 * len(sol.steps)
+        assert shapes.count((9, 9)) >= len(sol.steps)
+
+    def test_overflowing_iterates_stop_the_solve(self):
+        # x >= 0 and x <= -1 have no common point; the iterates overflow
+        # instead of converging, and the run ends on its last finite iterate
+        blocks = [SDPBlock("a", 1, np.array([[0.0]]), {0: np.array([[1.0]])}),
+                  SDPBlock("b", 1, np.array([[-1.0]]), {0: np.array([[-1.0]])})]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve(lmi_problem(blocks, [1.0]))
+        assert sol.status == "infeasible_suspected"
+        assert sol.iterations < SolveOptions().max_iterations
+        assert np.isfinite([sol.primal_objective, sol.dual_objective, sol.gap]).all()
+        assert not np.isfinite(sol.history[-1]).all()
+        assert sol.primal_objective == sol.history[-2][0]
+        assert sol.dual_objective == tightest_bound(sol, -2)[1]

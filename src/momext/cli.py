@@ -291,7 +291,6 @@ def cmd_solve(args):
     seq = rmap.sequence_from_values(solution.variables)
     ball = any(_bounds_ball(c.poly, problem.n) for c in problem.constraints)
     measure, report = _extract(rep, args, seq, d=args.order, dk=problem.d_K, mode=None, tol=tol)
-    report.ball_constraint_seen = ball
     _report_extraction(rep, report)
     if not ball:
         rep.add("note", "no ball constraint detected; shift boundedness not guaranteed a priori")

@@ -28,10 +28,13 @@ from .errors import (
     ShiftInconsistent,
 )
 from .moment import (
+    _choice,
+    _complexes,
+    _count,
     _fmt,
-    _sink,
-    _source_lines,
+    _read_records,
     _tolerant_order,
+    _write_records,
     classify_structure,
     hyponormality_block,
     index_count,
@@ -82,7 +85,6 @@ class Tolerances:
     dedup_tol: float = 1e-6
     weight_floor: float = 1e-8
     offdiag_tol: float = 1e-8
-    collision_tol: float = 1e-6
 
     @classmethod
     def printed(cls):
@@ -182,7 +184,6 @@ class ExtractionReport:
     reconstruction_residual: float | None = None
     certification: str = "failed"
     atom_count: int = 0
-    ball_constraint_seen: bool | None = None
     notes: list = field(default_factory=list)
 
 
@@ -497,7 +498,6 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None, takagis=None
     report.rank = flat.r_d
     report.min_moment_eig = float(eig.values[0])
     report.moment_spectrum = eig.values
-    report.ball_constraint_seen = None  # cmd_solve fills this in when a problem is known
 
     if not flat.flat_1:
         raise NotFlat(
@@ -697,68 +697,28 @@ def feasibility_report(measure, problem, tol=1e-6, seq=None, dk=None, moment_spe
 
 # ----------------------------------------------------------------- file IO
 
-_FORMAT_NAME = "measure"
-_FORMAT_VERSION = 1
-
 
 def write_measure(measure, target):
-    with _sink(target) as fh:
-        fh.write(f"{_FORMAT_NAME} {_FORMAT_VERSION}\n")
-        fh.write(f"mode {measure.mode}\n")
-        fh.write(f"n {measure.n}\n")
-        for atom, w in zip(measure.atoms, measure.weights):
-            coords = " ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in atom)
-            w = complex(w)
-            fh.write(f"atom {coords} w {_fmt(w.real)} {_fmt(w.imag)}\n")
+    def row(atom, w):
+        coords = " ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in atom)
+        w = complex(w)
+        return f"atom {coords} w {_fmt(w.real)} {_fmt(w.imag)}"
+
+    _write_records(target, "measure", {"mode": measure.mode, "n": measure.n},
+                   map(row, measure.atoms, measure.weights))
 
 
 def read_measure(source):
-    lines = _source_lines(source)
-    mode = None
-    n = None
     atoms, weights = [], []
-    seen_header = False
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == _FORMAT_NAME:
-            if len(parts) != 2 or parts[1] != str(_FORMAT_VERSION):
-                raise ParseError(f"line {lineno}: unsupported {_FORMAT_NAME} version")
-            seen_header = True
-        elif parts[0] == "mode":
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: bad mode")
-            mode = parts[1]
-        elif parts[0] == "n":
-            try:
-                n = int(parts[1])
-            except (IndexError, ValueError):
-                raise ParseError(f"line {lineno}: bad n") from None
-        elif parts[0] == "atom":
-            if n is None:
-                raise ParseError(f"line {lineno}: atom before n header")
-            try:
-                wpos = parts.index("w")
-                coords = [float(p) for p in parts[1:wpos]]
-                wre, wim = float(parts[wpos + 1]), float(parts[wpos + 2])
-            except (ValueError, IndexError):
-                raise ParseError(f"line {lineno}: malformed atom") from None
-            if not all(np.isfinite(coords + [wre, wim])):
-                raise ParseError(f"line {lineno}: non-finite atom")
-            if len(coords) != 2 * n:
-                raise ParseError(f"line {lineno}: expected {2 * n} coordinates")
-            atoms.append(tuple(complex(coords[2 * i], coords[2 * i + 1]) for i in range(n)))
-            weights.append(complex(wre, wim))
-        else:
-            raise ParseError(f"line {lineno}: unknown directive {parts[0]!r}")
-    if not seen_header or mode is None or n is None:
-        raise ParseError("missing measure header")
-    if mode not in (CONJUGATE, TRANSPOSE):
-        raise ParseError(f"unknown measure mode {mode!r}")
-    if n < 1:
-        raise ParseError("need n >= 1")
-    if mode == CONJUGATE:
-        weights = [w.real for w in weights]
-    return AtomicMeasure(atoms, weights, mode)
+
+    def atom(args, header, where):
+        n = header["n"]
+        if len(args) != 2 * n + 3 or args[2 * n] != "w":
+            raise ParseError(f"{where}: atom needs {2 * n} coordinates, then 'w re im'")
+        *coords, w = _complexes(args[: 2 * n] + args[2 * n + 1:], where)
+        atoms.append(tuple(coords))
+        weights.append(w.real if header["mode"] == CONJUGATE else w)
+
+    header = _read_records(source, "measure", {"mode": _choice(CONJUGATE, TRANSPOSE),
+                                               "n": _count}, {"atom": atom})
+    return AtomicMeasure(atoms, weights, header["mode"])

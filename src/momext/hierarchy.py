@@ -12,7 +12,8 @@ blocks, since the sparse format is pure-LMI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import io
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +21,14 @@ from .errors import FormatError, NotHermitian, OrderTooSmall, ParseError
 from .moment import (
     HermitianPoly,
     MomentSequence,
+    _choice,
+    _complexes,
+    _count,
+    _fmt,
     _idx_str,
     _parse_idx,
-    _source_lines,
+    _read_records,
+    _write_records,
     hyponormality_grid,
     layout,
     moment_matrix,
@@ -187,7 +193,6 @@ class SDPProblem:
     objective: np.ndarray  # (n_vars,)
     obj_const: float = 0.0
     is_real: bool = False
-    metadata: dict = field(default_factory=dict)
 
     @property
     def n_vars(self):
@@ -197,7 +202,8 @@ class SDPProblem:
 def parse_problem(text):
     """Parse a polynomial optimization problem file.
 
-    Grammar (one directive per line, '#' comments):
+    Grammar (one directive per line, '#' comments; the header line comes
+    first, then `n` and the optional `vars`, each once, before any section):
 
         pop 1
         n <count>
@@ -211,76 +217,35 @@ def parse_problem(text):
     with a plain complex polynomial (such as z^3 = 1) splits into its real
     and imaginary Hermitian parts.
     """
-    n = None
-    real_vars = False
     objective_terms = None
-    pending = []  # (kind, terms dict) in file order
-    current = None  # ("objective", terms) or ("constraint", kind, terms)
-    seen_header = False
+    pending = []  # (kind, terms dict) of each constraint, in file order
+    current = None  # terms dict of the open section
 
-    def close_current():
-        nonlocal objective_terms
+    def minimize(args, header, where):
+        nonlocal objective_terms, current
+        if args or objective_terms is not None:
+            raise ParseError(f"{where}: one 'minimize' line, without values")
+        objective_terms = current = {}
+
+    def constraint(args, header, where):
+        nonlocal current
+        if args not in (["eq"], ["ineq"]):
+            raise ParseError(f"{where}: constraint kind must be eq or ineq")
+        current = {}
+        pending.append((args[0], current))
+
+    def term(args, header, where):
         if current is None:
-            return
-        if current[0] == "objective":
-            objective_terms = current[1]
-        else:
-            pending.append((current[1], current[2]))
+            raise ParseError(f"{where}: term outside a section")
+        if len(args) != 4:
+            raise ParseError(f"{where}: term needs alpha beta re im")
+        key = tuple(_parse_idx(a, header["n"], where) for a in args[:2])
+        current[key] = current.get(key, 0.0) + _complexes(args[2:], where)[0]
 
-    for lineno, raw in enumerate(_source_lines(text), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        where = f"line {lineno}"
-        if parts[0] == "pop":
-            if len(parts) != 2 or parts[1] != "1":
-                raise ParseError(f"{where}: unsupported pop version")
-            seen_header = True
-        elif parts[0] == "n":
-            try:
-                n = int(parts[1])
-            except (IndexError, ValueError):
-                raise ParseError(f"{where}: bad n") from None
-            if n < 1:
-                raise ParseError(f"{where}: need n >= 1")
-        elif parts[0] == "vars":
-            if len(parts) != 2 or parts[1] not in ("complex", "real"):
-                raise ParseError(f"{where}: vars must be complex or real")
-            real_vars = parts[1] == "real"
-        elif parts[0] == "minimize":
-            close_current()
-            current = ("objective", {})
-        elif parts[0] == "constraint":
-            if len(parts) != 2 or parts[1] not in ("eq", "ineq"):
-                raise ParseError(f"{where}: constraint kind must be eq or ineq")
-            close_current()
-            current = ("constraint", parts[1], {})
-        elif parts[0] == "term":
-            if current is None:
-                raise ParseError(f"{where}: term outside a section")
-            if n is None:
-                raise ParseError(f"{where}: term before n")
-            if len(parts) != 5:
-                raise ParseError(f"{where}: term needs alpha beta re im")
-            a = _parse_idx(parts[1], n, where)
-            b = _parse_idx(parts[2], n, where)
-            try:
-                c = complex(float(parts[3]), float(parts[4]))
-            except ValueError:
-                raise ParseError(f"{where}: bad coefficient") from None
-            if not (np.isfinite(c.real) and np.isfinite(c.imag)):
-                raise ParseError(f"{where}: non-finite coefficient")
-            terms = current[1] if current[0] == "objective" else current[2]
-            terms[(a, b)] = terms.get((a, b), 0.0) + c
-        else:
-            raise ParseError(f"{where}: unknown directive {parts[0]!r}")
-    close_current()
-
-    if not seen_header:
-        raise ParseError("missing 'pop 1' header")
-    if n is None:
-        raise ParseError("missing n")
+    header = _read_records(text, "pop", {"n": _count, "vars": _choice("complex", "real")},
+                           {"minimize": minimize, "constraint": constraint, "term": term},
+                           defaults={"vars": "complex"})
+    n = header["n"]
     if objective_terms is None:
         raise ParseError("missing minimize section")
 
@@ -304,18 +269,21 @@ def parse_problem(text):
                 "inequality constraint polynomial is not Hermitian (not real-valued)"
             )
     return PolynomialProblem(n=n, objective=objective, constraints=constraints,
-                             real_vars=real_vars)
+                             real_vars=header["vars"] == "real")
 
 
 def problem_to_text(problem):
-    lines = ["pop 1", f"n {problem.n}", f"vars {'real' if problem.real_vars else 'complex'}"]
+    rows = []
     sections = [("minimize", problem.objective)]
     sections += [(f"constraint {con.kind}", con.poly) for con in problem.constraints]
     for head, poly in sections:
-        lines.append(head)
-        for (a, b), c in sorted(poly.terms.items()):
-            lines.append(f"term {_idx_str(a)} {_idx_str(b)} {c.real:.17g} {c.imag:.17g}")
-    return "\n".join(lines) + "\n"
+        rows.append(head)
+        rows += [f"term {_idx_str(a)} {_idx_str(b)} {_fmt(c.real)} {_fmt(c.imag)}"
+                 for (a, b), c in sorted(poly.terms.items())]
+    buf = io.StringIO()
+    _write_records(buf, "pop", {"n": problem.n,
+                                "vars": "real" if problem.real_vars else "complex"}, rows)
+    return buf.getvalue()
 
 
 # -------------------------------------------------------------- relaxation
@@ -427,7 +395,6 @@ def assemble_relaxation(problem, d, enforce_hyponormality=False):
         objective=acc.real.copy(),
         obj_const=0.0,
         is_real=problem.real_vars,
-        metadata={"order": d, "enforced": enforce_hyponormality},
     )
     return sdp, rmap
 
@@ -490,8 +457,7 @@ def realify(sdp):
             )
         )
     return SDPProblem(sdp.var_names, out_blocks, sdp.eq_a, sdp.eq_b,
-                      sdp.objective, sdp.obj_const, is_real=True,
-                      metadata=dict(sdp.metadata))
+                      sdp.objective, sdp.obj_const, is_real=True)
 
 
 def _embed(h):
@@ -520,38 +486,30 @@ def export_sdpa(sdp, comment="momext export"):
     if n_eq:
         sizes.append(-2 * n_eq)
     lines = [f'"{comment}', f"{m}", f"{len(sizes)}", " ".join(str(s) for s in sizes)]
-    lines.append(" ".join(format(float(c), ".17g") for c in sdp.objective))
+    lines.append(" ".join(map(_fmt, sdp.objective)))
 
-    entries = []  # (matno, blkno, i, j, value)
+    entries = []  # (matno, blkno, i, j, value), 1-based with i <= j
 
-    def emit(matno, blkno, i, j, value):
-        if i <= j and abs(value) > 0.0:
-            entries.append((matno, blkno, i, j, value))
+    def emit(matno, blkno, mat):
+        rows, cols = np.nonzero(np.triu(mat))
+        entries.extend((matno, blkno, i + 1, j + 1, mat[i, j]) for i, j in zip(rows, cols))
 
     for bi, b in enumerate(sdp.blocks, start=1):
-        cm = np.asarray(np.real(b.const))
-        for i in range(b.size):
-            for j in range(i, b.size):
-                emit(0, bi, i + 1, j + 1, -cm[i, j])  # F_0 = -const
+        emit(0, bi, -np.real(b.const))  # F_0 = -const
         for vi, f in sorted(b.coeffs.items()):
-            fm = np.asarray(np.real(f))
-            for i in range(f.shape[0]):
-                for j in range(i, f.shape[1]):
-                    emit(vi + 1, bi, i + 1, j + 1, fm[i, j])
+            emit(vi + 1, bi, np.real(f))
     if n_eq:
+        # row r becomes a.x - b >= 0 and b - a.x >= 0, the diagonal entries
+        # 2r+1 and 2r+2 of one block; column k of [b, a] belongs to matrix k
         blk = len(sdp.blocks) + 1
-        for r in range(n_eq):
-            # a.x - b >= 0 and b - a.x >= 0
-            emit(0, blk, 2 * r + 1, 2 * r + 1, float(sdp.eq_b[r]))
-            emit(0, blk, 2 * r + 2, 2 * r + 2, -float(sdp.eq_b[r]))
-            for vi in range(m):
-                v = float(sdp.eq_a[r, vi])
-                emit(vi + 1, blk, 2 * r + 1, 2 * r + 1, v)
-                emit(vi + 1, blk, 2 * r + 2, 2 * r + 2, -v)
+        rhs_and_rows = np.column_stack([sdp.eq_b, sdp.eq_a])
+        for r, k in zip(*np.nonzero(rhs_and_rows)):
+            v = rhs_and_rows[r, k]
+            entries += [(k, blk, 2 * r + 1, 2 * r + 1, v), (k, blk, 2 * r + 2, 2 * r + 2, -v)]
 
     entries.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
     for matno, blkno, i, j, v in entries:
-        lines.append(f"{matno} {blkno} {i} {j} {format(v, '.17g')}")
+        lines.append(f"{matno} {blkno} {i} {j} {_fmt(v)}")
     return "\n".join(lines) + "\n"
 
 

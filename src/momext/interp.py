@@ -25,10 +25,12 @@ from .errors import (
 from .extraction import TRANSPOSE, Tolerances, extract_measure
 from .moment import (
     MomentSequence,
+    _complexes,
+    _count,
     _fmt,
-    _sink,
-    _source_lines,
+    _read_records,
     _tolerant_order,
+    _write_records,
     enumerate_indices,
     hankel_matrix,
 )
@@ -286,59 +288,23 @@ def emit_signal(model, ranges, which="real", delimiter=","):
 
 # ----------------------------------------------------------------- file IO
 
-_FORMAT_NAME = "expsum"
-_FORMAT_VERSION = 1
-
 
 def write_model(model, target):
-    with _sink(target) as fh:
-        fh.write(f"{_FORMAT_NAME} {_FORMAT_VERSION}\n")
-        fh.write(f"n {model.n}\n")
-        for term in model.terms:
-            w = complex(term.weight)
-            freqs = " ".join(
-                f"{_fmt(f.real)} {_fmt(f.imag)}" for f in map(complex, term.frequencies)
-            )
-            fh.write(f"term {_fmt(w.real)} {_fmt(w.imag)} {freqs}\n")
+    def row(term):
+        nums = [complex(term.weight), *map(complex, term.frequencies)]
+        return "term " + " ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in nums)
+
+    _write_records(target, "expsum", {"n": model.n}, map(row, model.terms))
 
 
 def read_model(source):
-    lines = _source_lines(source)
-    n = None
     terms = []
-    seen = False
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == _FORMAT_NAME:
-            if len(parts) != 2 or parts[1] != str(_FORMAT_VERSION):
-                raise ParseError(f"line {lineno}: unsupported {_FORMAT_NAME} version")
-            seen = True
-        elif parts[0] == "n":
-            try:
-                n = int(parts[1])
-            except (IndexError, ValueError):
-                raise ParseError(f"line {lineno}: bad n") from None
-            if n < 1:
-                raise ParseError(f"line {lineno}: need n >= 1")
-        elif parts[0] == "term":
-            if n is None:
-                raise ParseError(f"line {lineno}: term before n header")
-            try:
-                nums = [float(p) for p in parts[1:]]
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad number") from None
-            if not all(np.isfinite(nums)):
-                raise ParseError(f"line {lineno}: non-finite value")
-            if len(nums) != 2 + 2 * n:
-                raise ParseError(f"line {lineno}: expected {2 + 2 * n} numbers")
-            w = complex(nums[0], nums[1])
-            freqs = tuple(complex(nums[2 + 2 * i], nums[3 + 2 * i]) for i in range(n))
-            terms.append(ExpTerm(w, freqs))
-        else:
-            raise ParseError(f"line {lineno}: unknown directive {parts[0]!r}")
-    if not seen or n is None:
-        raise ParseError("missing expsum header")
-    return ExpSumModel(n, terms)
+
+    def term(args, header, where):
+        if len(args) != 2 + 2 * header["n"]:
+            raise ParseError(f"{where}: expected {2 + 2 * header['n']} numbers")
+        w, *freqs = _complexes(args, where)
+        terms.append(ExpTerm(w, tuple(freqs)))
+
+    header = _read_records(source, "expsum", {"n": _count}, {"term": term})
+    return ExpSumModel(header["n"], terms)

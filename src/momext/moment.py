@@ -383,9 +383,6 @@ def hyponormality_block(seq, dk, i, j):
 
 # ----------------------------------------------------------------- file IO
 
-_FORMAT_NAME = "momseq"
-_FORMAT_VERSION = 1
-
 
 def _fmt(x):
     return format(float(x), ".17g")
@@ -411,14 +408,89 @@ def _source_lines(source):
     return source.read().splitlines()
 
 
+def _write_records(target, name, fields, rows):
+    """Write the header line, one 'key value' line per field, then the rows."""
+    lines = [f"{name} 1", *(f"{key} {value}" for key, value in fields.items()), *rows]
+    with _sink(target) as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _read_records(source, name, fields, entries, defaults=None):
+    """Read a '<name> 1' text (path, text or file object); returns its header fields.
+
+    Blank lines are skipped and '#' starts a comment anywhere on a line. The
+    header line comes first. `fields` maps each header field to its value
+    parser, parse(text, where); every field without a default must be given,
+    each at most once and before the first entry. Each other line goes to
+    the parser its first word names in `entries`, as parse(args, header,
+    where) with the rest of the line and the header fields.
+    """
+    records = [(f"line {no}", parts) for no, raw in enumerate(_source_lines(source), 1)
+               if (parts := raw.split("#", 1)[0].split())]
+    if not records or records[0][1][0] != name:
+        raise ParseError(f"missing '{name} 1' header line")
+    if records[0][1][1:] != ["1"]:
+        raise ParseError(f"{records[0][0]}: unsupported {name} version")
+    header = {}
+    k = 1
+    while k < len(records) and records[k][1][0] in fields:
+        where, (key, *value) = records[k]
+        k += 1
+        if len(value) != 1:
+            raise ParseError(f"{where}: header field {key!r} needs one value")
+        if key in header:
+            raise ParseError(f"{where}: repeated header field {key!r}")
+        header[key] = fields[key](value[0], where)
+    header = {**(defaults or {}), **header}
+    for key in fields:
+        if key not in header:
+            raise ParseError(f"missing header field {key!r}")
+    for where, (key, *args) in records[k:]:
+        if key not in entries:
+            kind = "header field after the entries" if key in fields else "unknown directive"
+            raise ParseError(f"{where}: {kind} {key!r}")
+        entries[key](args, header, where)
+    return header
+
+
+def _integer(least):
+    """Value parser of an integer header field that is at least `least`."""
+    def parse(text, where):
+        try:
+            value = int(text)
+        except ValueError:
+            raise ParseError(f"{where}: bad integer {text!r}") from None
+        if value < least:
+            raise ParseError(f"{where}: need a value >= {least}, got {value}")
+        return value
+    return parse
+
+
+_count = _integer(1)  # a variable count n
+
+
+def _choice(*options):
+    """Value parser of a header field that takes one of `options`."""
+    def parse(text, where):
+        if text not in options:
+            raise ParseError(f"{where}: {text!r} is not one of {', '.join(options)}")
+        return text
+    return parse
+
+
+def _complexes(tokens, where):
+    """Complex numbers from 're im' token pairs, each part a finite float."""
+    try:
+        parts = [float(t) for t in tokens]
+    except ValueError:
+        raise ParseError(f"{where}: bad number") from None
+    if not all(map(math.isfinite, parts)):
+        raise ParseError(f"{where}: non-finite value")
+    return [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
+
+
 def _idx_str(alpha):
     return ",".join(str(int(a)) for a in alpha)
-
-
-def _finite(re_part, im_part, where):
-    if not (math.isfinite(re_part) and math.isfinite(im_part)):
-        raise ParseError(f"{where}: non-finite value")
-    return complex(re_part, im_part)
 
 
 def _parse_idx(text, n, where):
@@ -436,19 +508,13 @@ def _parse_idx(text, n, where):
 
 def write_sequence(seq, target):
     """Write a moment sequence as versioned structured text (round-trip exact)."""
-    with _sink(target) as fh:
-        fh.write(f"{_FORMAT_NAME} {_FORMAT_VERSION}\n")
-        fh.write(f"mode {seq.mode}\n")
-        fh.write(f"n {seq.n}\n")
-        fh.write(f"d {seq.d}\n")
-        if seq.mode == "paired":
-            for (a, b), v in sorted(seq.values.items()):
-                v = complex(v)
-                fh.write(f"y {_idx_str(a)} {_idx_str(b)} {_fmt(v.real)} {_fmt(v.imag)}\n")
-        else:
-            for a, v in sorted(seq.values.items()):
-                v = complex(v)
-                fh.write(f"y {_idx_str(a)} {_fmt(v.real)} {_fmt(v.imag)}\n")
+    def row(key, v):
+        v = complex(v)
+        idx = " ".join(map(_idx_str, key)) if seq.mode == "paired" else _idx_str(key)
+        return f"y {idx} {_fmt(v.real)} {_fmt(v.imag)}"
+
+    _write_records(target, "momseq", {"mode": seq.mode, "n": seq.n, "d": seq.d},
+                   (row(key, v) for key, v in sorted(seq.values.items())))
 
 
 def sequence_to_text(seq):
@@ -459,69 +525,16 @@ def sequence_to_text(seq):
 
 def read_sequence(source):
     """Parse a moment-sequence file (path, file object, or text)."""
-    lines = _source_lines(source)
-    header = {}
     values = {}
-    mode = None
-    n = None
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        where = f"line {lineno}"
-        if parts[0] == _FORMAT_NAME:
-            if len(parts) != 2 or parts[1] != str(_FORMAT_VERSION):
-                raise ParseError(f"{where}: unsupported {_FORMAT_NAME} version")
-            header["format"] = parts[1]
-        elif parts[0] in ("mode", "n", "d"):
-            if len(parts) != 2:
-                raise ParseError(f"{where}: malformed header field")
-            header[parts[0]] = parts[1]
-            if parts[0] == "mode":
-                mode = parts[1]
-                if mode not in ("paired", "hankel"):
-                    raise ParseError(f"{where}: unknown mode {mode!r}")
-            if parts[0] == "n":
-                try:
-                    n = int(parts[1])
-                except ValueError:
-                    raise ParseError(f"{where}: bad n") from None
-                if n < 1:
-                    raise ParseError(f"{where}: need n >= 1")
-        elif parts[0] == "y":
-            if mode is None or n is None:
-                raise ParseError(f"{where}: data before mode/n header")
-            if mode == "paired":
-                if len(parts) != 5:
-                    raise ParseError(f"{where}: paired entry needs 'y A B re im'")
-                a = _parse_idx(parts[1], n, where)
-                b = _parse_idx(parts[2], n, where)
-                try:
-                    values[(a, b)] = _finite(float(parts[3]), float(parts[4]), where)
-                except ValueError:
-                    raise ParseError(f"{where}: bad value") from None
-            else:
-                if len(parts) != 4:
-                    raise ParseError(f"{where}: hankel entry needs 'y A re im'")
-                a = _parse_idx(parts[1], n, where)
-                try:
-                    values[a] = _finite(float(parts[2]), float(parts[3]), where)
-                except ValueError:
-                    raise ParseError(f"{where}: bad value") from None
-        else:
-            raise ParseError(f"{where}: unknown directive {parts[0]!r}")
 
-    if "format" not in header:
-        raise ParseError("missing momseq header line")
-    for key in ("mode", "n", "d"):
-        if key not in header:
-            raise ParseError(f"missing header field {key!r}")
-    try:
-        d = int(header["d"])
-    except ValueError:
-        raise ParseError("bad d") from None
-    if d < 0:
-        raise ParseError("need d >= 0")
-    seq = MomentSequence(n=n, d=d, mode=header["mode"], values=values)
-    return seq
+    def entry(args, header, where):
+        paired = header["mode"] == "paired"
+        if len(args) != (4 if paired else 3):
+            raise ParseError(f"{where}: {header['mode']} entry needs "
+                             f"'y {'A B' if paired else 'A'} re im'")
+        idx = tuple(_parse_idx(a, header["n"], where) for a in args[:-2])
+        values[idx if paired else idx[0]] = _complexes(args[-2:], where)[0]
+
+    header = _read_records(source, "momseq", {"mode": _choice("paired", "hankel"),
+                                              "n": _count, "d": _integer(0)}, {"y": entry})
+    return MomentSequence(n=header["n"], d=header["d"], mode=header["mode"], values=values)

@@ -15,7 +15,8 @@ objectives: `primal_objective` is the moment-side value c.x, and
 pair brackets the optimum up to the current residuals.
 
 Statuses: `optimal` (gap and residuals within tolerance), `max_iter` (the
-iteration cap ran out; the last iterate is returned), `stalled` and
+iteration cap ran out; the iterate of the last step is returned, and the
+last history entry, `gap` and `feasibility` describe it), `stalled` and
 `infeasible_suspected` (inconsistent equality rows, a fully determined
 point outside the blocks, or residuals and gap both far from their targets
 when the loop ends). A stall means no further progress is possible: a
@@ -48,6 +49,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.gap_tolerance <= 0 or self.feasibility_tolerance <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
         if not (0 < self.step_damping < 1):
             raise ValueError("step damping must be in (0, 1)")
 
@@ -211,7 +214,8 @@ def solve(sdp, opts=None):
     def dual_objective():
         return -sum(np.tensordot(blocks[bi][0], xs[bi]) for bi in range(nb)) + const_off
 
-    for it in range(1, opts.max_iterations + 1):
+    # one evaluation past the cap describes the iterate its last step made
+    for it in range(1, opts.max_iterations + 2):
         # residuals: drive Z = S(u) and <A_jk, X_j> summed = c_k
         rd = [cb + (u @ flat).reshape(cb.shape) - z for (cb, _), flat, z in zip(blocks, flats, zs)]
         rp = c_red - sum(flat @ x.ravel() for flat, x in zip(flats, xs))
@@ -231,6 +235,8 @@ def solve(sdp, opts=None):
         moment_side = (u, pobj, feas_d)
         if gap <= opts.gap_tolerance and worst_feas <= opts.feasibility_tolerance:
             status = "optimal"
+            break
+        if it > opts.max_iterations:
             break
 
         # One Cholesky factor of each X_j and Z_j serves Zinv and all four
@@ -333,9 +339,6 @@ def solve(sdp, opts=None):
         _, dobj, _, feas_p, _ = min(history[: len(steps)] or history[-1:], key=bracket)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         worst_feas = max(feas_p, feas_d)
-    else:
-        pobj = float(c_red @ u) + const_off
-        dobj = float(dual_objective())
     if status != "optimal" and worst_feas > 1e-4 and gap > 1e-2:
         status = "infeasible_suspected"
     return Solution(
@@ -343,7 +346,7 @@ def solve(sdp, opts=None):
         primal_objective=pobj,
         dual_objective=dobj,
         status=status,
-        iterations=it,
+        iterations=min(it, opts.max_iterations),
         history=history,
         steps=steps,
         gap=float(gap),

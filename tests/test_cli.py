@@ -281,6 +281,18 @@ class TestErrorMapping:
         assert err.startswith("momext: FileNotFoundError: ")
         assert err.count("\n") == 1
 
+    def test_repeated_header_field_exits_parse_error(self, tmp_path, capsys):
+        # a trailing 'n 2' used to turn this into a two-variable model
+        path = str(tmp_path / "repeated.expsum")
+        with open(path, "w") as fh:
+            fh.write("expsum 1\nn 1\nterm 1 0 0.5 0\nn 2\n")
+        code, out = run(["sample", path, "--order", "2"])
+        assert code == 3
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("momext: ParseError: ")
+        assert err.count("\n") == 1
+
     def test_interpolate_rejects_paired_file(self, tmp_path):
         path = write_fixture(tmp_path, pd.ex5_seq(3), "paired.momseq")
         code, _ = run(["interpolate", path])

@@ -541,6 +541,8 @@ class TestMeasureIO:
             "mode conjugate_transpose\nn 1\natom 1 0 w 1 0\n",            # no header
             "measure 9\nmode conjugate_transpose\nn 1\natom 1 0 w 1 0\n",  # version
             "measure 1\nmode conjugate_transpose\nn 1\natom 1 w 1 0\n",    # coordinates
+            "measure 1\nmode conjugate_transpose\nn 1\natom 1 0 w 1 0\nn 2\n",  # n after atoms
+            "measure 1\nmode transpose\nmode transpose\nn 1\n",         # mode given twice
         ):
             with pytest.raises(ParseError):
                 read_measure(text)

@@ -65,6 +65,10 @@ class TestParseProblem:
             parse_problem("pop 1\nn 1\nminimize\nterm 0 1 0\n")
         with pytest.raises(ParseError):
             parse_problem("pop 1\nn 1\nvars quaternion\nminimize\nterm 0 0 1 0\n")
+        with pytest.raises(ParseError):
+            parse_problem("pop 1\nn 1\nminimize\nterm 0 0 1 0\nn 2\n")  # n after the entries
+        with pytest.raises(ParseError):
+            parse_problem("pop 1\nvars real\nn 1\nvars complex\nminimize\nterm 0 0 1 0\n")
 
     def test_round_trip_through_text(self):
         p = parse_problem(demo("ellipse.pop"))

@@ -270,3 +270,7 @@ class TestModelIO:
             read_model("expsum 1\nn 1\nterm nan 0 0.5 0\n")
         with pytest.raises(ParseError):
             read_model("expsum 7\nn 1\nterm 1 0 0.5 0\n")  # unknown version
+        with pytest.raises(ParseError):
+            read_model("expsum 1\nn 1\nterm 1 0 0.5 0\nn 2\n")  # n after the entries
+        with pytest.raises(ParseError):
+            read_model("expsum 1\nn 2\nn 2\nterm 1 0 0.5 0 0 1\n")  # n given twice

@@ -339,9 +339,19 @@ class TestSequenceIO:
             "momseq 1\nmode paired\nn 1\nd 0\ny 0 0 nan 0\n",  # non-finite
             "momseq 1\nmode paired\nn 1\nd 0\ny 0 0 1 inf\n",
             "momseq 1\nmode paired\nn 1\nd -1\n",             # d < 0
+            "momseq 1\nmode paired\nn 1\nd 0\ny 0 0 1 0\nn 2\n",  # n after the entries
+            "momseq 1\nmode hankel\nn 1\nn 2\nd 0\n",        # n given twice
+            "mode paired\nmomseq 1\nn 1\nd 0\n",              # header line not first
+            "momseq 1\nmode paired\nd 0\ny 0 0 1 0\n",        # no n
         ):
             with pytest.raises(ParseError):
                 read_sequence(text)
+
+    def test_comments_start_anywhere_on_a_line(self):
+        seq = read_sequence("# a hankel sequence\nmomseq 1  # version 1\nmode hankel\n"
+                            "n 1 # one variable\nd 0\n\ny 0 2 0.5 #y0\n# end\n")
+        assert (seq.n, seq.d, seq.mode) == (1, 0, "hankel")
+        assert seq.values == {(0,): 2 + 0.5j}
 
     def test_hermitian_check(self):
         assert pd.ex3_seq().is_hermitian(1e-9)

@@ -191,6 +191,15 @@ class TestStall:
         capped = solve(demo_relaxation("ellipse.pop", 3), SolveOptions(max_iterations=20))
         assert capped.status == "max_iter" and capped.iterations == 20
 
+    def test_max_iter_reports_the_returned_iterate(self):
+        capped = solve(demo_relaxation("ellipse.pop", 3), SolveOptions(max_iterations=20))
+        p, d, _, feas_p, feas_d = capped.history[-1]
+        assert capped.status == "max_iter" and len(capped.steps) == 20
+        assert len(capped.history) == len(capped.steps) + 1
+        assert (capped.primal_objective, capped.dual_objective) == (p, d)
+        assert capped.gap == abs(p - d) / (1.0 + abs(p))
+        assert capped.feasibility == max(feas_p, feas_d)
+
     def test_steps_explain_each_iterate(self, stalled_solutions):
         for name, sol in stalled_solutions.items():
             # the last iterate takes no step: X_j could not be factored

@@ -3,7 +3,8 @@
 Runs, in one process, every demo `solve` (plus the enforced triangle),
 `check --gap 1` and `check --gap 3` and `extract` of the roots-of-unity
 sequence, and `export-sdpa` of the torus, the ellipse, the enforced reduced
-ellipse and the enforced triangle, all with `--format structured --seed 0`.
+ellipse and the enforced triangle, and `sample`, `interpolate --model` and
+`signal` of Example 7, all with `--format structured --seed 0`.
 Each report is preceded by its command line and followed by its exit code
 and anything written to stderr.
 
@@ -40,6 +41,7 @@ COMMON = ["--format", "structured", "--seed", "0"]
 NUMBER_TOL = 1e-9
 INTEGER = re.compile(r"[+-]?\d+")
 MOMSEQ = "demo/roots_of_unity.momseq"
+EXPSUM = "demo/example7.expsum"
 
 COMMANDS = [
     ["solve", "demo/ellipse.pop", "--order", "3"],
@@ -56,6 +58,9 @@ COMMANDS = [
     ["export-sdpa", "demo/ellipse.pop", "--order", "3"],
     ["export-sdpa", "demo/ellipse_reduced.pop", "--order", "2", "--enforce-hypo"],
     ["export-sdpa", "demo/triangle.pop", "--order", "3", "--enforce-hypo"],
+    ["sample", EXPSUM, "--order", "2"],
+    ["interpolate", "--model", EXPSUM, "--sample", "2"],
+    ["signal", EXPSUM, "--range", "0:3:4", "--range", "0:3:4"],
 ]
 
 

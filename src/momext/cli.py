@@ -87,6 +87,7 @@ exit codes:
   1   unexpected internal error
 """
 
+BAD_COMMAND_LINE = 2
 SOLVER_NOT_OPTIMAL = 16
 
 
@@ -255,6 +256,15 @@ def cmd_check(args):
 
 
 def cmd_solve(args):
+    try:
+        opts = sdp.SolveOptions(
+            max_iterations=args.max_iterations,
+            gap_tolerance=args.gap_tol,
+            feasibility_tolerance=args.feas_tol,
+        )
+    except ValueError as exc:
+        sys.stderr.write(f"momext: solve: bad solver option: {exc}\n")
+        return BAD_COMMAND_LINE
     problem = hierarchy.parse_problem(args.problem)
     tol = _tolerances(args)
     rep = Report()
@@ -271,11 +281,6 @@ def cmd_solve(args):
     rep.add("relaxation.block_sizes", [b.size for b in sdp_problem.blocks])
     rep.add("relaxation.equality_rows", sdp_problem.eq_a.shape[0])
     rep.add("relaxation.variables", sdp_problem.n_vars)
-    opts = sdp.SolveOptions(
-        max_iterations=args.max_iterations,
-        gap_tolerance=args.gap_tol,
-        feasibility_tolerance=args.feas_tol,
-    )
     solution = sdp.solve(hierarchy.realify(sdp_problem), opts)
     rep.add("solver.status", solution.status)
     rep.add("solver.iterations", solution.iterations)

@@ -28,10 +28,11 @@ from .errors import (
     ShiftInconsistent,
 )
 from .moment import (
+    MomentTable,
     _choice,
     _complexes,
-    _count,
     _fmt,
+    _integer,
     _read_records,
     _tolerant_order,
     _write_records,
@@ -461,7 +462,8 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None, takagis=None
 
     A caller that already holds the Takagi factorizations of H_0(y) ..
     H_d(y) of Hankel data in transpose mode passes them as `takagis`; they
-    then give every rank and the factor.
+    then give every rank and the factor. Every step reads y through one
+    MomentTable, built at the start of the call and dropped at its end.
 
     Returns (AtomicMeasure, ExtractionReport); raises an ExtractionError
     subclass (carrying the partial report) when the data does not admit the
@@ -475,7 +477,8 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None, takagis=None
         raise ValueError(f"unknown mode {mode!r}")
 
     report = ExtractionReport(d=d, dk=dk, mode=mode)
-    mm = moment_matrix(seq, d)
+    table = MomentTable(seq, max(d, seq.d))  # y, read once for every step below
+    mm = moment_matrix(table, d)
     report.structure = classify_structure(mm, tol.struct_tol)
 
     # the one eigendecomposition of M_d: rank at order d of paired data,
@@ -580,10 +583,10 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None, takagis=None
 
     measure = AtomicMeasure(atoms, weights, mode).sorted()
     report.atom_count = len(measure.atoms)
-    report.reconstruction_residual = verify_measure(measure, seq)
+    report.reconstruction_residual = verify_measure(measure, table)
 
     scale = max(1.0, float(np.abs(eig.values).max()))  # ||M_d||_2
-    report.certification = _certify(seq, report, flat, mode, tol, scale)
+    report.certification = _certify(table, report, flat, mode, tol, scale)
     return measure, report
 
 
@@ -607,10 +610,14 @@ def _certify(seq, report, flat, mode, tol, scale):
 
 
 def data_hyponormality_min_eig(seq, dk):
-    """Smallest eigenvalue over the data-level hyponormality blocks at gap dk."""
+    """Smallest eigenvalue over the data-level hyponormality blocks at gap dk.
+
+    `seq` is a MomentSequence or its MomentTable; every block reads one table.
+    """
+    table = MomentTable.of(seq, seq.d)
     best = np.inf
     for i, j in variable_pairs(seq.n):
-        block = hyponormality_block(seq, dk, i, j).matrix
+        block = hyponormality_block(table, dk, i, j).matrix
         vals, _ = linalg.hermitian_eig((block + block.conj().T) / 2.0, tol=np.inf)
         best = min(best, float(vals[0]))
     return best
@@ -619,24 +626,27 @@ def data_hyponormality_min_eig(seq, dk):
 def verify_measure(measure, seq):
     """Worst absolute moment-reconstruction error of a measure against data.
 
-    One Vandermonde-style product: the atoms raised to every key's
-    exponents, times the weights.
+    `seq` is a MomentSequence or its MomentTable; keys beyond its order are
+    not compared. One Vandermonde-style product: the atoms raised to every
+    label's exponents, gathered for every key, times the weights.
     """
-    if not seq.values:
+    table = MomentTable.of(seq, seq.d)
+    slots = np.flatnonzero(table.present)
+    if not slots.size:
         return 0.0
     atoms = np.asarray(measure.atoms, dtype=complex).reshape(-1, seq.n)
     weights = np.asarray(measure.weights, dtype=complex)
-    keys = np.array(list(seq.values))  # (K, n), or (K, 2, n) for paired data
-    data = np.array(list(seq.values.values()), dtype=complex)
 
-    def powers(z, exps):  # (K, atoms): prod_i z_i ** exps_i
+    def powers(z, lay):  # (labels, atoms): prod_i z_i ** label_i
+        exps = np.array(lay.labels)
         return np.prod(z[None, :, :] ** exps[:, None, :], axis=2)
 
-    if seq.mode == "paired":
-        basis = powers(atoms.conj(), keys[:, 0]) * powers(atoms, keys[:, 1])
+    if table.mode == "paired":
+        rows, cols = np.divmod(slots, len(table.layout.labels))
+        basis = powers(atoms.conj(), table.layout)[rows] * powers(atoms, table.layout)[cols]
     else:
-        basis = powers(atoms, keys)
-    return float(np.abs(basis @ weights - data).max())
+        basis = powers(atoms, table.slot_layout)[slots]
+    return float(np.abs(basis @ weights - table.values[slots]).max())
 
 
 @dataclass
@@ -699,6 +709,7 @@ def feasibility_report(measure, problem, tol=1e-6, seq=None, dk=None, moment_spe
 
 
 def write_measure(measure, target):
+    """Write a measure as versioned text; an empty measure is written with n 0."""
     def row(atom, w):
         coords = " ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in atom)
         w = complex(w)
@@ -709,10 +720,13 @@ def write_measure(measure, target):
 
 
 def read_measure(source):
+    """Parse a measure file; `n 0` is the empty measure, which has no atoms."""
     atoms, weights = [], []
 
     def atom(args, header, where):
         n = header["n"]
+        if n == 0:
+            raise ParseError(f"{where}: a measure with n 0 has no atoms")
         if len(args) != 2 * n + 3 or args[2 * n] != "w":
             raise ParseError(f"{where}: atom needs {2 * n} coordinates, then 'w re im'")
         *coords, w = _complexes(args[: 2 * n] + args[2 * n + 1:], where)
@@ -720,5 +734,5 @@ def read_measure(source):
         weights.append(w.real if header["mode"] == CONJUGATE else w)
 
     header = _read_records(source, "measure", {"mode": _choice(CONJUGATE, TRANSPOSE),
-                                               "n": _count}, {"atom": atom})
+                                               "n": _integer(0)}, {"atom": atom})
     return AtomicMeasure(atoms, weights, header["mode"])

@@ -28,6 +28,7 @@ __all__ = [
     "Layout",
     "layout",
     "MomentSequence",
+    "MomentTable",
     "MomentMatrix",
     "HermitianPoly",
     "StructureFlags",
@@ -268,41 +269,80 @@ class HermitianPoly:
         return acc
 
 
-def _gather(seq, deg):
-    """Reader of y over the labels of layout(seq.n, deg).
+class MomentTable:
+    """The values of a MomentSequence over layout(n, order), read in one pass.
 
-    Returns a function mapping position arrays (rows, cols) to the matrix
-    y[labels[rows[i]], labels[cols[j]]]; in hankel mode that entry is
-    y[labels[rows[i]] + labels[cols[j]]]. The first absent key in row-major
-    order raises MissingMoment.
+    Slot p * N + q of `values` holds y[labels[p], labels[q]] for paired
+    data (N labels); slot k holds y[labels[k]] of layout(n, 2 * order) for
+    Hankel data. `present` marks the slots whose key the sequence holds;
+    keys beyond the layout are left out. Graded-lex labels make the
+    matrices of every order t <= order gathers from one table. The table is
+    a copy that does not see later changes to the sequence: build it for
+    one computation and drop it after.
     """
-    lay = layout(seq.n, deg)
-    if seq.mode == "paired":
-        keys = [(a, b) for a in lay.labels for b in lay.labels]
-        table = np.arange(len(keys)).reshape(len(lay.labels), -1)
-    else:
-        keys = layout(seq.n, 2 * deg).labels
-        table = lay.sums
-    present = np.array([k in seq.values for k in keys])
-    values = np.array([seq.values.get(k, 0.0) for k in keys], dtype=complex)
 
-    def read(rows, cols):
-        idx = table[np.ix_(rows, cols)]
-        missing = ~present[idx]
+    def __init__(self, seq, order=None):
+        self.n, self.d, self.mode = seq.n, seq.d, seq.mode
+        self.order = seq.d if order is None else order
+        self.layout = layout(seq.n, self.order)
+        if seq.mode == "paired":
+            pos, size = self.layout.pos, len(self.layout.labels)
+            found = [(pos.get(a), pos.get(b), v) for (a, b), v in seq.values.items()]
+            found = [(p * size + q, v) for p, q, v in found if p is not None and q is not None]
+            self.index = np.arange(size * size).reshape(size, size)
+            slot_count = size * size
+        else:
+            pos, slot_count = self.slot_layout.pos, len(self.slot_layout.labels)
+            found = [(pos.get(a), v) for a, v in seq.values.items()]
+            found = [(k, v) for k, v in found if k is not None]
+            self.index = self.layout.sums
+        slots = np.array([k for k, _ in found], dtype=np.intp)
+        self.values = np.zeros(slot_count, dtype=complex)
+        self.values[slots] = [v for _, v in found]
+        self.present = np.zeros(slot_count, dtype=bool)
+        self.present[slots] = True
+
+    @classmethod
+    def of(cls, seq, order):
+        """`seq` itself when it is a table covering `order`, else the table of seq."""
+        if not isinstance(seq, cls):
+            return cls(seq, order)
+        if seq.order < order:
+            raise ValueError(f"a table of order {seq.order} cannot serve order {order}")
+        return seq
+
+    @property
+    def slot_layout(self):
+        """The layout of the keys of Hankel data, layout(n, 2 * order)."""
+        return layout(self.n, 2 * self.order)
+
+    def read(self, rows, cols):
+        """y[labels[rows[i]], labels[cols[j]]], or y[labels[rows[i]] + labels[cols[j]]].
+
+        `rows` and `cols` are positions of labels of order at most `order`.
+        The first absent key in row-major order raises MissingMoment.
+        """
+        slots = self.index[np.ix_(rows, cols)]
+        missing = ~self.present[slots]
         if missing.any():
-            raise MissingMoment(keys[idx.flat[np.argmax(missing)]])
-        return values[idx]
-
-    return read
+            slot = int(slots.flat[np.argmax(missing)])
+            if self.mode == "paired":
+                p, q = divmod(slot, len(self.layout.labels))
+                raise MissingMoment((self.layout.labels[p], self.layout.labels[q]))
+            raise MissingMoment(self.slot_layout.labels[slot])
+        return self.values[slots]
 
 
 def moment_matrix(seq, d):
-    """M_d(y): entry (alpha, beta) = y_{alpha,beta} (or y_{alpha+beta})."""
-    lay = layout(seq.n, d)
-    labels = list(lay.labels)
+    """M_d(y): entry (alpha, beta) = y_{alpha,beta} (or y_{alpha+beta}).
+
+    Like every builder here, it reads `seq`, a MomentSequence, through a
+    MomentTable built for the call, or through the table passed in its place.
+    """
+    labels = list(layout(seq.n, d).labels)
     every = np.arange(len(labels))
     kind = "hankel" if seq.mode == "hankel" else "moment"
-    return MomentMatrix(_gather(seq, d)(every, every), labels, labels, kind)
+    return MomentMatrix(MomentTable.of(seq, d).read(every, every), labels, labels, kind)
 
 
 def hankel_matrix(seq, d):
@@ -322,7 +362,7 @@ def localizing_matrix(seq, g, d):
     if d < k:
         raise OrderTooSmall(f"localizing matrix needs d >= {k}, got d={d}")
     lay = layout(seq.n, d)
-    read = _gather(seq, d)
+    read = MomentTable.of(seq, d).read
     labels = list(lay.labels[: lay.size(d - k)])
     m = np.zeros((len(labels), len(labels)), dtype=complex)
     for (gamma, delta), c in g.terms.items():
@@ -335,6 +375,22 @@ class StructureFlags:
     hermitian: bool
     hankel: bool
     toeplitz: bool
+
+
+def _row_codes(keys):
+    """Integer codes of the rows of an integer array: equal exactly for equal rows.
+
+    Mixed-radix digits, one per column; codes are renumbered densely
+    whenever the next digit could overflow int64.
+    """
+    keys = keys - keys.min(axis=0)
+    codes = np.zeros(len(keys), dtype=np.int64)
+    for column in keys.T:
+        radix = int(column.max()) + 1
+        if int(codes.max()) >= np.iinfo(np.int64).max // radix:
+            codes = np.unique(codes, return_inverse=True)[1]
+        codes = codes * radix + column
+    return codes
 
 
 def classify_structure(m, tol=1e-9):
@@ -352,10 +408,10 @@ def classify_structure(m, tol=1e-9):
     values = a.ravel()
 
     def agrees(keys):
-        _, first, inverse = np.unique(
-            keys.reshape(values.size, -1), axis=0, return_index=True, return_inverse=True
-        )
-        return not np.any(np.abs(values - values[first[inverse.ravel()]]) > tol)
+        # a stable sort, so `first` is the first entry of each key in row-major order
+        _, first, inverse = np.unique(_row_codes(keys.reshape(values.size, -1)),
+                                      return_index=True, return_inverse=True)
+        return not np.any(np.abs(values - values[first[inverse]]) > tol)
 
     return StructureFlags(hermitian=hermitian, hankel=agrees(rows + cols),
                           toeplitz=agrees(rows - cols))
@@ -374,7 +430,7 @@ def hyponormality_block(seq, dk, i, j):
         raise OrderTooSmall(f"gap dk={dk} exceeds data order d={seq.d}")
     grid = hyponormality_grid(seq.n, i, j)
     lay = layout(seq.n, seq.d)
-    read = _gather(seq, seq.d)
+    read = MomentTable.of(seq, seq.d).read
     m = np.block([[read(lay.shift(gamma, h), lay.shift(delta, h)) for gamma, delta in row]
                   for row in grid])
     labels = list(lay.labels[: lay.size(h)]) * len(grid)
@@ -533,6 +589,8 @@ def read_sequence(source):
             raise ParseError(f"{where}: {header['mode']} entry needs "
                              f"'y {'A B' if paired else 'A'} re im'")
         idx = tuple(_parse_idx(a, header["n"], where) for a in args[:-2])
+        if max(map(sum, idx)) > (header["d"] if paired else 2 * header["d"]):
+            raise ParseError(f"{where}: entry beyond order d = {header['d']}")
         values[idx if paired else idx[0]] = _complexes(args[-2:], where)[0]
 
     header = _read_records(source, "momseq", {"mode": _choice("paired", "hankel"),

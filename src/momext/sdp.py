@@ -47,10 +47,11 @@ class SolveOptions:
     step_damping: float = 0.98
 
     def __post_init__(self):
-        if self.gap_tolerance <= 0 or self.feasibility_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("gap_tolerance", "feasibility_tolerance"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
         if not (0 < self.step_damping < 1):
             raise ValueError("step damping must be in (0, 1)")
 

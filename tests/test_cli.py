@@ -293,6 +293,22 @@ class TestErrorMapping:
         assert err.startswith("momext: ParseError: ")
         assert err.count("\n") == 1
 
+    def test_bad_solver_options_exit_bad_command_line(self, monkeypatch, capsys):
+        from momext import hierarchy
+
+        def assemble(*args, **kwargs):
+            raise AssertionError("a relaxation was assembled")
+
+        monkeypatch.setattr(hierarchy, "assemble_relaxation", assemble)
+        for flag, value in (("--gap-tol", "0"), ("--feas-tol", "0"),
+                            ("--max-iterations", "-1"), ("--gap-tol", "nan")):
+            code, out = run(["solve", demo("torus.pop"), "--order", "3", flag, value])
+            assert code == 2
+            assert out == ""
+            err = capsys.readouterr().err
+            assert err.startswith("momext: solve: bad solver option: ")
+            assert err.count("\n") == 1
+
     def test_interpolate_rejects_paired_file(self, tmp_path):
         path = write_fixture(tmp_path, pd.ex5_seq(3), "paired.momseq")
         code, _ = run(["interpolate", path])

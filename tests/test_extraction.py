@@ -25,7 +25,13 @@ from momext.extraction import (
     verify_measure,
     write_measure,
 )
-from momext.moment import MomentSequence, enumerate_indices, index_count, moment_matrix
+from momext.moment import (
+    MomentSequence,
+    MomentTable,
+    enumerate_indices,
+    index_count,
+    moment_matrix,
+)
 
 import paperdata as pd
 
@@ -201,6 +207,38 @@ class TestExtractMeasure:
         _, rep = extract_measure(seq, dk=1)
         assert rep.certification == "certified"
         assert sizes.count(10) == 1
+
+    def test_one_table_of_the_moments(self, monkeypatch):
+        # M_3, the three data hyponormality blocks and the reconstruction
+        # check of an n = 3 extraction all read y through one table
+        rng = np.random.default_rng(5)
+        atoms = [tuple(rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)) for _ in range(3)]
+        seq = pd.brute_moments_paired(atoms, [0.4, 0.7, 1.1], n=3, d=3)
+        built = []
+        original = MomentTable.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MomentTable, "__init__", counting)
+        meas, rep = extract_measure(seq, dk=1)
+        assert len(meas.atoms) == 3 and rep.certification == "certified"
+        assert rep.data_hypo_min_eig is not None  # the blocks were built
+        assert len(built) == 1
+
+    def test_a_changed_sequence_is_read_anew(self):
+        first = pd.brute_moments_paired([(0.5 + 0.5j,), (-0.3j,)], [1.0, 0.5], n=1, d=2)
+        second = pd.brute_moments_paired([(0.2 - 0.4j,), (0.7,)], [0.8, 0.3], n=1, d=2)
+        seq = MomentSequence(n=1, d=2, mode="paired", values=dict(first.values))
+        extract_measure(seq, dk=1)
+        seq.values.update(second.values)
+        np.testing.assert_array_equal(moment_matrix(seq, 2).matrix,
+                                      moment_matrix(second, 2).matrix)
+        meas, rep = extract_measure(seq, dk=1)
+        want, _ = extract_measure(second, dk=1)
+        assert meas.atoms == want.atoms and meas.weights == want.weights
+        assert rep.reconstruction_residual <= 1e-12
 
     def test_one_takagi_of_the_hankel_matrix_in_transpose_mode(self, monkeypatch):
         # H_2 is 6x6 for n = 2: its Takagi factorization gives both the rank
@@ -535,6 +573,18 @@ class TestMeasureIO:
         for a, b in zip(meas.atoms, back.atoms):
             assert max(abs(x - y) for x, y in zip(a, b)) == 0.0
         np.testing.assert_allclose(back.weights, meas.weights)
+
+    def test_empty_measure_round_trip(self, tmp_path):
+        # every atom below the weight floor leaves an empty measure
+        seq = pd.brute_moments_paired([(0.5 + 0.5j,)], [1.0], n=1, d=2)
+        meas, rep = extract_measure(seq, dk=1, tol=Tolerances(weight_floor=2.0))
+        assert meas.atoms == [] and rep.atom_count == 0
+        path = str(tmp_path / "empty.measure")
+        write_measure(meas, path)
+        back = read_measure(path)
+        assert (back.atoms, back.weights, back.mode) == ([], [], CONJUGATE)
+        with pytest.raises(ParseError):
+            read_measure("measure 1\nmode transpose\nn 0\natom w 1 0\n")
 
     def test_parse_errors(self):
         for text in (

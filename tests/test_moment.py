@@ -8,6 +8,7 @@ from momext.moment import (
     HermitianPoly,
     MomentMatrix,
     MomentSequence,
+    MomentTable,
     classify_structure,
     enumerate_indices,
     hankel_matrix,
@@ -146,6 +147,36 @@ class TestHankelMatrix:
                               - hankel_matrix(seq, 2).matrix.T) == 0.0
 
 
+def _sum_key(a, b):
+    return index_add(a, b)
+
+
+def _difference_key(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _first_of_key_reference(m, tol):
+    """[hankel, toeplitz] by brute force: the first entry in row-major order
+    with a key sets the value that every later entry with it must match."""
+    flags = []
+    for key in (_sum_key, _difference_key):
+        first, ok = {}, True
+        for i, ra in enumerate(m.row_labels):
+            for j, cb in enumerate(m.col_labels):
+                v = first.setdefault(key(ra, cb), m.matrix[i, j])
+                ok = ok and abs(m.matrix[i, j] - v) <= tol
+        flags.append(ok)
+    return flags
+
+
+def _keyed(rng, labels, key):
+    """A matrix with one random value per key, so a code shared by two keys shows."""
+    values = {}
+    m = np.array([[values.setdefault(key(a, b), rng.uniform(-1, 1)) for b in labels]
+                  for a in labels])
+    return MomentMatrix(m, labels, labels, "moment")
+
+
 class TestClassifyStructure:
     def test_example5_toeplitz(self):
         flags = classify_structure(moment_matrix(pd.ex5_seq(3), 3))
@@ -160,28 +191,25 @@ class TestClassifyStructure:
         assert flags.hermitian and not flags.hankel and not flags.toeplitz
 
     def test_each_entry_is_compared_with_the_first_of_its_key(self):
-        # brute-force reference: the first entry in row-major order with a
-        # key sets the value that every later entry with it must match
-        def reference(m, tol):
-            flags = []
-            for key in (lambda a, b: index_add(a, b),
-                        lambda a, b: tuple(x - y for x, y in zip(a, b))):
-                first, ok = {}, True
-                for i, ra in enumerate(m.row_labels):
-                    for j, cb in enumerate(m.col_labels):
-                        v = first.setdefault(key(ra, cb), m.matrix[i, j])
-                        ok = ok and abs(m.matrix[i, j] - v) <= tol
-                flags.append(ok)
-            return flags
-
         rng = np.random.default_rng(9)
-        for seq in (pd.ex5_seq(3), pd.ex6_seq(), pd.ex2_seq()):
-            base = moment_matrix(seq, seq.d)
+        big = enumerate_indices(3, 6)
+        bases = [moment_matrix(seq, seq.d) for seq in (pd.ex5_seq(3), pd.ex6_seq(), pd.ex2_seq())]
+        bases += [_keyed(rng, big, _sum_key), _keyed(rng, big, _difference_key)]
+        for base in bases:
             for scale in (0.0, 0.6e-3, 1.2e-3):
                 m = MomentMatrix(base.matrix + scale * rng.uniform(-1, 1, base.matrix.shape),
                                  base.row_labels, base.col_labels, base.kind)
                 flags = classify_structure(m, tol=1e-3)
-                assert [flags.hankel, flags.toeplitz] == reference(m, 1e-3)
+                assert [flags.hankel, flags.toeplitz] == _first_of_key_reference(m, 1e-3)
+
+    def test_codes_of_many_variables_do_not_overflow(self):
+        # 40 variables: the sum keys alone take 3**40 > 2**63 mixed-radix codes
+        rng = np.random.default_rng(10)
+        labels = enumerate_indices(40, 1)
+        for key, want in ((_sum_key, [True, False]), (_difference_key, [False, True])):
+            m = _keyed(rng, labels, key)
+            flags = classify_structure(m, tol=1e-3)
+            assert [flags.hankel, flags.toeplitz] == _first_of_key_reference(m, 1e-3) == want
 
     def test_toeplitz_hermitian_diagonal_constant_real(self):
         m = moment_matrix(pd.ex5_seq(3), 3).matrix
@@ -259,30 +287,38 @@ def _random_sequence(rng, n, d, mode):
 
 
 class TestGathersMatchBruteForce:
-    """moment, localizing and hyponormality matrices against seq.get loops."""
+    """moment, localizing and hyponormality matrices against seq.get loops.
+
+    Every order t <= d, each read both from the sequence and through one
+    MomentTable of it.
+    """
 
     @pytest.mark.parametrize("mode", ["paired", "hankel"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_matrix(self, n, mode):
         d = 3
         seq = _random_sequence(np.random.default_rng(10 + n), n, d, mode)
-        labels = enumerate_indices(n, d)
-
-        ref = np.array([[seq.get(a, b) for b in labels] for a in labels])
-        np.testing.assert_array_equal(moment_matrix(seq, d).matrix, ref)
-
+        table = MomentTable(seq)
         g = _multi_term_poly(n)
-        small = enumerate_indices(n, d - g.k)
-        ref = np.zeros((len(small), len(small)), dtype=complex)
-        for (gamma, delta), c in g.terms.items():
-            for i, a in enumerate(small):
-                for j, b in enumerate(small):
-                    ref[i, j] += c * seq.get(index_add(a, gamma), index_add(b, delta))
-        np.testing.assert_allclose(localizing_matrix(seq, g, d).matrix, ref,
-                                   rtol=0, atol=1e-13)
+        for t in range(d + 1):
+            labels = enumerate_indices(n, t)
+            ref = np.array([[seq.get(a, b) for b in labels] for a in labels])
+            for source in (seq, table):
+                np.testing.assert_array_equal(moment_matrix(source, t).matrix, ref)
+            if t < g.k:
+                continue
+            small = enumerate_indices(n, t - g.k)
+            ref = np.zeros((len(small), len(small)), dtype=complex)
+            for (gamma, delta), c in g.terms.items():
+                for i, a in enumerate(small):
+                    for j, b in enumerate(small):
+                        ref[i, j] += c * seq.get(index_add(a, gamma), index_add(b, delta))
+            for source in (seq, table):
+                np.testing.assert_allclose(localizing_matrix(source, g, t).matrix, ref,
+                                           rtol=0, atol=1e-13)
 
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-        for dk in (1, 2):
+        for dk in range(1, d + 1):  # blocks of every order d - dk < d
             sub = enumerate_indices(n, d - dk)
             for i, j in pairs:
                 units = [_unit(n, i)] if i == j else [_unit(n, i), _unit(n, j)]
@@ -292,9 +328,45 @@ class TestGathersMatchBruteForce:
                      for gamma in shifts for b in sub]
                     for delta in shifts for a in sub
                 ])
-                blk = hyponormality_block(seq, dk, i, j)
-                np.testing.assert_array_equal(blk.matrix, ref)
-                assert blk.row_labels == sub * len(shifts)
+                for source in (seq, table):
+                    blk = hyponormality_block(source, dk, i, j)
+                    np.testing.assert_array_equal(blk.matrix, ref)
+                    assert blk.row_labels == sub * len(shifts)
+
+    @pytest.mark.parametrize("mode", ["paired", "hankel"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_first_absent_key_in_row_major_order_is_raised(self, n, mode):
+        d = 2
+        rng = np.random.default_rng(20 + n)
+        seq = _random_sequence(rng, n, d, mode)
+        keys = sorted(seq.values)
+        for k in rng.choice(len(keys), 3, replace=False):
+            del seq.values[keys[k]]
+        labels = enumerate_indices(n, d)
+        wanted = [(a, b) if mode == "paired" else index_add(a, b)
+                  for a in labels for b in labels]
+        first = next(key for key in wanted if key not in seq.values)
+        for source in (seq, MomentTable(seq)):
+            with pytest.raises(MissingMoment) as exc:
+                moment_matrix(source, d)
+            assert exc.value.key == first
+
+    def test_a_table_serves_no_order_above_its_own(self):
+        seq = _random_sequence(np.random.default_rng(3), 2, 3, "paired")
+        with pytest.raises(ValueError):
+            moment_matrix(MomentTable(seq, 2), 3)
+
+    def test_builders_read_the_current_values(self):
+        # no table outlives its call: a changed sequence is read anew
+        seq = _random_sequence(np.random.default_rng(4), 2, 2, "paired")
+        before = moment_matrix(seq, 2).matrix
+        key = ((1, 0), (0, 1))
+        seq.values[key] += 0.5
+        after = moment_matrix(seq, 2).matrix
+        p, q = enumerate_indices(2, 2).index(key[0]), enumerate_indices(2, 2).index(key[1])
+        assert after[p, q] == before[p, q] + 0.5
+        after[p, q] = before[p, q]
+        np.testing.assert_array_equal(after, before)
 
 
 class TestSequenceIO:
@@ -343,6 +415,8 @@ class TestSequenceIO:
             "momseq 1\nmode hankel\nn 1\nn 2\nd 0\n",        # n given twice
             "mode paired\nmomseq 1\nn 1\nd 0\n",              # header line not first
             "momseq 1\nmode paired\nd 0\ny 0 0 1 0\n",        # no n
+            "momseq 1\nmode paired\nn 1\nd 1\ny 2 0 1 0\n",    # |alpha| > d
+            "momseq 1\nmode hankel\nn 2\nd 1\ny 2,1 1 0\n",    # |alpha| > 2d
         ):
             with pytest.raises(ParseError):
                 read_sequence(text)

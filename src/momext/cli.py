@@ -11,6 +11,7 @@ structured reports; every error class exits with its own code (see --help).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -495,9 +496,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser(), once per process: parse_args keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (errors.MomextError, OSError) as exc:

@@ -18,14 +18,15 @@ Statuses: `optimal` (gap and residuals within tolerance), `max_iter` (the
 iteration cap ran out; the iterate of the last step is returned, and the
 last history entry, `gap` and `feasibility` describe it), `stalled` and
 `infeasible_suspected` (inconsistent equality rows, a fully determined
-point outside the blocks, or residuals and gap both far from their targets
-when the loop ends). A stall means no further progress is possible: a
-certificate-side X_j lost definiteness to round-off, so X can take no
-step; a slack could not be factored; three steps in a row were tiny; or
-the iterates overflowed. A stalled solve returns the moment side (u and
-the primal value) of its last finite iterate, with the dual bound of the
-earlier iterate that brackets that value most tightly (the smallest
-max(gap, feas_p)); `gap` and `feasibility` describe that pair.
+point outside the blocks, or a solve that ends short of `optimal` with
+max(feas_p, feas_d) above 1e-4, whatever its gap). A stall means no
+further progress is possible: a certificate-side X_j lost definiteness to
+round-off, so X can take no step; a slack could not be factored; three
+steps in a row were tiny; or the iterates overflowed. A stalled solve
+returns the moment side (u and the primal value) of its last finite
+iterate, with the dual bound of the earlier iterate that brackets that
+value most tightly (the smallest max(gap, feas_p)); `gap` and
+`feasibility` describe that pair.
 """
 
 from __future__ import annotations
@@ -113,8 +114,7 @@ def _reduced_blocks(sdp, x_p, nullspace):
             const += x_p[i] * mat
             row = nullspace[i]
             nz = np.nonzero(np.abs(row) > 0)[0]
-            for k in nz:
-                stack[k] += row[k] * mat
+            stack[nz] += row[nz, None, None] * mat
         const = (const + const.T) / 2.0
         stack = (stack + np.transpose(stack, (0, 2, 1))) / 2.0
         reduced.append((const, stack))
@@ -132,24 +132,37 @@ def _cholesky(m):
 def _slack_cholesky(z):
     """(z', L) with z' = L L^T: z itself, or z plus the smallest ridge that
     makes it factorizable; (z, None) when none does."""
-    scale = max(np.trace(z) / z.shape[0], 1e-300)
     for ridge in (0.0, 1e-14, 1e-11):
-        zr = z + ridge * scale * np.eye(z.shape[0]) if ridge else z
+        zr = z + ridge * max(np.trace(z) / len(z), 1e-300) * np.eye(len(z)) if ridge else z
         ell = _cholesky(zr)
         if ell is not None:
             return zr, ell
     return z, None
 
 
-def _max_step(ell, dm):
-    """Largest alpha in (0, 1] keeping M + alpha*dm PSD, given M = ell ell^T."""
-    w = np.linalg.solve(ell, dm)
-    w = np.linalg.solve(ell, w.T).T
-    w = (w + w.T) / 2.0
-    lam = np.linalg.eigvalsh(w)[0]
-    if lam >= -1e-14:
-        return 1.0
-    return min(1.0, -1.0 / lam)
+def _step_lengths(x_chol, z_chol):
+    """(dx, dz) -> (ap, ad), the largest alphas in (0, 1] keeping every
+    X_j + ap dX_j and Z_j + ad dZ_j PSD, given the Cholesky factors L.
+
+    Each M = L L^T gives lam = lambda_min(L^-1 dM L^-T), from one stacked
+    solve, solve and eigvalsh per matrix size. Its alpha, 1 for lam >= -1e-14
+    or NaN and else min(1, -1/lam), grows with lam: the smallest lam decides."""
+    nb, chols = len(x_chol), x_chol + z_chol
+    by_size = {}
+    for j, ell in enumerate(chols):
+        by_size.setdefault(ell.shape[0], []).append(j)
+    stacks = [(idx, np.stack([chols[j] for j in idx])) for idx in by_size.values()]
+
+    def step_lengths(dx, dz):
+        dms, lam = dx + dz, np.empty(2 * nb)
+        for idx, ell in stacks:
+            w = np.linalg.solve(ell, np.stack([dms[j] for j in idx]))
+            w = np.linalg.solve(ell, w.transpose(0, 2, 1)).transpose(0, 2, 1)
+            lam[idx] = np.linalg.eigvalsh((w + w.transpose(0, 2, 1)) / 2.0)[:, 0]
+        sides = (np.fmin.reduce(lam[:nb], initial=0.0), np.fmin.reduce(lam[nb:], initial=0.0))
+        return tuple(1.0 if m >= -1e-14 else min(1.0, -1.0 / m) for m in sides)
+
+    return step_lengths
 
 
 def solve(sdp, opts=None):
@@ -213,14 +226,14 @@ def solve(sdp, opts=None):
     it = 0
 
     def dual_objective():
-        return -sum(np.tensordot(blocks[bi][0], xs[bi]) for bi in range(nb)) + const_off
+        return -sum(blocks[bi][0].ravel() @ xs[bi].ravel() for bi in range(nb)) + const_off
 
     # one evaluation past the cap describes the iterate its last step made
     for it in range(1, opts.max_iterations + 2):
         # residuals: drive Z = S(u) and <A_jk, X_j> summed = c_k
         rd = [cb + (u @ flat).reshape(cb.shape) - z for (cb, _), flat, z in zip(blocks, flats, zs)]
         rp = c_red - sum(flat @ x.ravel() for flat, x in zip(flats, xs))
-        mu = sum(np.tensordot(xs[bi], zs[bi]) for bi in range(nb)) / total_n
+        mu = sum(xs[bi].ravel() @ zs[bi].ravel() for bi in range(nb)) / total_n
 
         pobj = float(c_red @ u) + const_off
         dobj = float(dual_objective())
@@ -252,6 +265,7 @@ def solve(sdp, opts=None):
         if any(ell is None for ell in x_chol + z_chol):
             status = "stalled"
             break
+        step_lengths = _step_lengths(x_chol, z_chol)
         zinv = [np.linalg.solve(ell.T, np.linalg.solve(ell, np.eye(ell.shape[0])))
                 for ell in z_chol]
         zinv = [(inv + inv.T) / 2.0 for inv in zinv]
@@ -293,15 +307,11 @@ def solve(sdp, opts=None):
                 dx.append((m + m.T) / 2.0)
             return du, dx, dz
 
-        def step_lengths(dx, dz):
-            return (min(_max_step(ell, d) for ell, d in zip(x_chol, dx)),
-                    min(_max_step(ell, d) for ell, d in zip(z_chol, dz)))
-
         # predictor
         du_a, dx_a, dz_a = directions(0.0, None)
         ap, ad = step_lengths(dx_a, dz_a)
         mu_aff = sum(
-            np.tensordot(xs[bi] + ap * dx_a[bi], zs[bi] + ad * dz_a[bi])
+            (xs[bi] + ap * dx_a[bi]).ravel() @ (zs[bi] + ad * dz_a[bi]).ravel()
             for bi in range(nb)
         ) / total_n
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
@@ -340,7 +350,7 @@ def solve(sdp, opts=None):
         _, dobj, _, feas_p, _ = min(history[: len(steps)] or history[-1:], key=bracket)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         worst_feas = max(feas_p, feas_d)
-    if status != "optimal" and worst_feas > 1e-4 and gap > 1e-2:
+    if status != "optimal" and worst_feas > 1e-4:
         status = "infeasible_suspected"
     return Solution(
         variables=x_p + nullspace @ u,

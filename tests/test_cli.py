@@ -3,8 +3,9 @@ import os
 from contextlib import redirect_stdout
 
 import numpy as np
+import pytest
 
-from momext.cli import main
+from momext.cli import _parser, build_parser, main
 from momext.extraction import read_measure
 from momext.interp import read_model, write_model
 from momext.moment import read_sequence, write_sequence
@@ -366,3 +367,23 @@ class TestHankelModeExtract:
         assert code == 0
         rows = dict(line.split(" ", 1) for line in text.strip().splitlines())
         assert rows["extraction.mode"] == "conjugate_transpose"
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
+        model_path = str(tmp_path / "truth.expsum")
+        write_model(pd.ex7_model().canonical(), model_path)
+        argv = ["signal", model_path, "--range", "0:1:2", "--range", "0:1:3"]
+        first = run(argv)
+        assert first[0] == 0 and len(first[1].splitlines()) == 1 + 2 * 3
+        # each call starts a new --range list
+        assert run(argv) == first
+        # a command line that fails after one --range leaves nothing behind
+        with pytest.raises(SystemExit) as exc:
+            run(["signal", model_path, "--range", "0:1:4", "--part", "phase"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert run(argv) == first
+        assert run(["check", demo("roots_of_unity.momseq"), "--gap", "3"])[0] == 0
+        # the reused parser is still the one build_parser() makes
+        assert _parser().format_help() == build_parser().format_help()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from momext.hierarchy import SDPBlock, SDPProblem, assemble_relaxation, parse_problem, realify
-from momext.sdp import SolveOptions, solve
+from momext.sdp import SolveOptions, _reduced_blocks, _step_lengths, solve
 
 
 def lmi_problem(blocks, c, eq_a=None, eq_b=None, const=0.0):
@@ -250,3 +250,120 @@ class TestStall:
         assert not np.isfinite(sol.history[-1]).all()
         assert sol.primal_objective == sol.history[-2][0]
         assert sol.dual_objective == tightest_bound(sol, -2)[1]
+
+
+class TestInfeasibility:
+    def test_zero_objective_infeasible_lmi_is_flagged(self):
+        # min 0 s.t. [[-1, x], [x, 1]] >= 0: no x makes the corner entry
+        # nonnegative. Every iterate has gap 0, so only the residual tells.
+        blk = SDPBlock("toy", 2, np.diag([-1.0, 1.0]),
+                       {0: np.array([[0.0, 1.0], [1.0, 0.0]])})
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve(lmi_problem([blk], [0.0]))
+        assert sol.status == "infeasible_suspected"
+        assert sol.gap == 0.0 and sol.feasibility > 1e-4
+
+
+def max_step_reference(ell, dm):
+    """The step-length test of one matrix M = ell ell^T on its own."""
+    w = np.linalg.solve(ell, dm)
+    w = np.linalg.solve(ell, w.T).T
+    w = (w + w.T) / 2.0
+    lam = np.linalg.eigvalsh(w)[0]
+    if lam >= -1e-14:
+        return 1.0
+    return min(1.0, -1.0 / lam)
+
+
+def symmetric(rng, nn):
+    a = rng.standard_normal((nn, nn))
+    return (a + a.T) / 2.0
+
+
+def spd(rng, nn):
+    a = rng.standard_normal((nn, nn))
+    return a @ a.T + np.eye(nn)
+
+
+class TestStepLengths:
+    # block sizes with 1x1 blocks, repeated sizes and one size alone; X_j
+    # and Z_j always share their size, so every stack mixes both sides
+    SIZES = [(1,), (4,), (1, 1), (3, 3, 3), (1, 4, 2, 4), (5, 2, 5, 1, 2)]
+
+    def directions(self, rng, chols, kind):
+        out = []
+        for ell in chols:
+            nn = len(ell)
+            if kind == "psd":  # lambda_min >= 0: alpha 1
+                a = rng.standard_normal((nn, nn))
+                out.append(a @ a.T)
+            elif kind == "tiny":  # lambda_min about -1e-15 >= -1e-14: alpha 1
+                out.append(-1e-15 * (ell @ ell.T))
+            else:  # alphas below and at 1, from scaled random directions
+                out.append(10.0 ** rng.uniform(-2, 2) * symmetric(rng, nn))
+        return out
+
+    def test_stacked_test_equals_the_per_matrix_formula(self):
+        rng = np.random.default_rng(29)
+        for trial in range(120):
+            sizes = self.SIZES[trial % len(self.SIZES)]
+            x_chol, z_chol = ([np.linalg.cholesky(spd(rng, nn)) for nn in sizes]
+                              for _ in range(2))
+            kinds = ("random", "psd", "tiny", "random")
+            dx = self.directions(rng, x_chol, kinds[trial % 4])
+            dz = self.directions(rng, z_chol, kinds[(trial // 4) % 4])
+            want = (min(max_step_reference(ell, d) for ell, d in zip(x_chol, dx)),
+                    min(max_step_reference(ell, d) for ell, d in zip(z_chol, dz)))
+            assert _step_lengths(x_chol, z_chol)(dx, dz) == want
+            if "random" not in (kinds[trial % 4], kinds[(trial // 4) % 4]):
+                assert want == (1.0, 1.0)
+
+    def test_a_nan_test_is_left_out(self):
+        # an infinite 2x2 direction makes its lambda_min NaN, which alone
+        # gives alpha 1; the other matrices of its size and side still decide
+        rng = np.random.default_rng(31)
+        x_chol = [np.linalg.cholesky(spd(rng, 2)) for _ in range(3)]
+        z_chol = [np.eye(2)] * 3
+        dx = [symmetric(rng, 2) * 100 for _ in range(3)]
+        dx[1] = np.full((2, 2), np.inf)
+        dz = [np.full((2, 2), np.inf)] * 3
+        with np.errstate(invalid="ignore"):
+            want = (min(max_step_reference(ell, d) for ell, d in zip(x_chol, dx)),
+                    min(max_step_reference(ell, d) for ell, d in zip(z_chol, dz)))
+            assert _step_lengths(x_chol, z_chol)(dx, dz) == want
+        assert want[0] < 1.0 and want[1] == 1.0
+
+
+def reduced_block_reference(block, x_p, nullspace):
+    """One block over the nullspace coordinates, one column at a time."""
+    const = np.asarray(np.real(block.const), dtype=float).copy()
+    stack = np.zeros((nullspace.shape[1], block.size, block.size))
+    for i, mat in block.coeffs.items():
+        mat = np.asarray(np.real(mat), dtype=float)
+        const += x_p[i] * mat
+        for k in np.nonzero(np.abs(nullspace[i]) > 0)[0]:
+            stack[k] += nullspace[i, k] * mat
+    return (const + const.T) / 2.0, (stack + np.transpose(stack, (0, 2, 1))) / 2.0
+
+
+class TestReducedBlocks:
+    def test_equals_the_per_column_loop(self):
+        rng = np.random.default_rng(37)
+        nv, f = 9, 5
+        nullspace = rng.standard_normal((nv, f)) * 10.0 ** rng.uniform(-8, 8, (nv, f))
+        nullspace[1] = 0.0  # a variable the equalities fix
+        nullspace[2, [0, 3]] = 0.0  # partly zero rows
+        nullspace[4, 1:] = 0.0
+        x_p = rng.standard_normal(nv)
+        blocks = []
+        for b, nn in enumerate((3, 1, 4, 3)):
+            # variable 6 appears in no block
+            coeffs = {i: symmetric(rng, nn) * 10.0 ** rng.uniform(-6, 6)
+                      for i in rng.permutation(nv) if i != 6}
+            blocks.append(SDPBlock(f"b{b}", nn, symmetric(rng, nn), coeffs))
+        reduced = _reduced_blocks(lmi_problem(blocks, np.zeros(nv)), x_p, nullspace)
+        assert len(reduced) == len(blocks)
+        for (const, stack), block in zip(reduced, blocks):
+            want_const, want_stack = reduced_block_reference(block, x_p, nullspace)
+            assert np.array_equal(const, want_const)
+            assert np.array_equal(stack, want_stack)

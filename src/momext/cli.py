@@ -22,7 +22,6 @@ from .extraction import (
     CONJUGATE,
     TRANSPOSE,
     Tolerances,
-    data_hyponormality_min_eig,
     extract_measure,
     check_flatness,
     feasibility_report,
@@ -39,54 +38,36 @@ from .moment import (
     write_sequence,
 )
 
-EXIT_CODES = {
-    errors.ParseError: 3,
-    errors.MissingMoment: 4,
-    errors.OrderTooSmall: 5,
-    errors.NotFlat: 6,
-    errors.ShiftInconsistent: 7,
-    errors.BasisDegenerate: 8,
-    errors.NotHyponormal: 9,
-    errors.DegenerateCombination: 10,
-    errors.RankNotStabilized: 11,
-    errors.AtomAtZero: 12,
-    errors.KernelNotUnidimensional: 13,
-    errors.NotPSD: 14,
-    errors.NumericalBreakdown: 15,
-    errors.IsotropicEigenvector: 17,
-    errors.NotHermitian: 18,
-    errors.NotSymmetric: 19,
-    errors.NoConvergence: 20,
-    errors.FormatError: 21,
-    OSError: 22,
-}
-
-EXIT_HELP = """\
-exit codes:
-  0   success
-  2   bad command line
-  3   malformed input file (ParseError)
-  4   missing moment key (MissingMoment)
-  5   order too small for the data or degrees (OrderTooSmall)
-  6   rank not preserved, no shift operators (NotFlat)
-  7   shift operators inconsistent on the data (ShiftInconsistent)
-  8   unusable column basis (BasisDegenerate)
-  9   joint hyponormality fails, no measure exists (NotHyponormal)
-  10  random shift combinations stayed degenerate (DegenerateCombination)
-  11  Hankel rank never stabilized (RankNotStabilized)
-  12  recovered node at zero, log undefined (AtomAtZero)
-  13  Prony kernel not one-dimensional (KernelNotUnidimensional)
-  14  matrix not positive semidefinite (NotPSD)
-  15  interior-point numerical breakdown (NumericalBreakdown)
-  16  solver finished without an optimality certificate
-  17  isotropic eigenvector in transpose mode (IsotropicEigenvector)
-  18  matrix fails the Hermitian check (NotHermitian)
-  19  matrix fails the complex-symmetry check (NotSymmetric)
-  20  iterative factorization hit its sweep cap (NoConvergence)
-  21  malformed solver output or SDPA text (FormatError)
-  22  input file unreadable or output file unwritable (OSError)
-  1   unexpected internal error
-"""
+# (code, error class or None, meaning), in the order --help lists them
+EXITS = [
+    (0, None, "success"),
+    (2, None, "bad command line"),
+    (3, errors.ParseError, "malformed input file"),
+    (4, errors.MissingMoment, "missing moment key"),
+    (5, errors.OrderTooSmall, "order too small for the data or degrees"),
+    (6, errors.NotFlat, "rank not preserved, no shift operators"),
+    (7, errors.ShiftInconsistent, "shift operators inconsistent on the data"),
+    (8, errors.BasisDegenerate, "unusable column basis"),
+    (9, errors.NotHyponormal, "joint hyponormality fails, no measure exists"),
+    (10, errors.DegenerateCombination, "random shift combinations stayed degenerate"),
+    (11, errors.RankNotStabilized, "Hankel rank never stabilized"),
+    (12, errors.AtomAtZero, "recovered node at zero, log undefined"),
+    (13, errors.KernelNotUnidimensional, "Prony kernel not one-dimensional"),
+    (14, errors.NotPSD, "matrix not positive semidefinite"),
+    (15, errors.NumericalBreakdown, "interior-point numerical breakdown"),
+    (16, None, "solver finished without an optimality certificate"),
+    (17, errors.IsotropicEigenvector, "isotropic eigenvector in transpose mode"),
+    (18, errors.NotHermitian, "matrix fails the Hermitian check"),
+    (19, errors.NotSymmetric, "matrix fails the complex-symmetry check"),
+    (20, errors.NoConvergence, "iterative factorization hit its sweep cap"),
+    (21, errors.FormatError, "malformed solver output or SDPA text"),
+    (22, OSError, "input file unreadable or output file unwritable"),
+    (1, None, "unexpected internal error"),
+]
+EXIT_CODES = {cls: code for code, cls, _ in EXITS if cls is not None}
+EXIT_HELP = "exit codes:\n" + "".join(
+    f"  {code:<3} {meaning}" + (f" ({cls.__name__})" if cls else "") + "\n"
+    for code, cls, meaning in EXITS)
 
 BAD_COMMAND_LINE = 2
 SOLVER_NOT_OPTIMAL = 16
@@ -247,11 +228,13 @@ def cmd_check(args):
     rep.add("flat_gap", flat.flat_dk)
     rep.add("moment_spectrum", [float(v) for v in vals])
     if seq.mode == "paired" and seq.d - args.gap >= 0:
+        min_eig = np.inf
         for i, j in variable_pairs(seq.n):
             blk = hyponormality_block(seq, args.gap, i, j).matrix
             bvals, _ = linalg.hermitian_eig((blk + blk.conj().T) / 2.0, tol=np.inf)
             rep.add(f"data_hypo_spectrum.{i},{j}", [float(v) for v in bvals])
-        rep.add("data_hypo_min_eig", data_hyponormality_min_eig(seq, args.gap))
+            min_eig = min(min_eig, float(bvals[0]))
+        rep.add("data_hypo_min_eig", min_eig)
     _emit(rep, args)
     return 0
 
@@ -507,14 +490,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except (errors.MomextError, OSError) as exc:
-        code = EXIT_CODES.get(type(exc))
-        if code is None:
-            for cls, mapped in EXIT_CODES.items():
-                if isinstance(exc, cls):
-                    code = mapped
-                    break
         sys.stderr.write(f"momext: {type(exc).__name__}: {exc}\n")
-        return code if code is not None else 1
+        return next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), 1)
 
 
 if __name__ == "__main__":

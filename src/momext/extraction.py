@@ -416,10 +416,9 @@ def simultaneous_diagonalize(shifts, seed=0, tol=1e-8, max_attempts=20):
                 continue
             bullet = p.T
         eigs = np.diag(bullet @ a @ p)
-        spread = max(np.abs(eigs[:, None] - eigs[None, :]).max(), 1e-12)
-        dmin = min(
-            abs(eigs[i] - eigs[j]) for i in range(r) for j in range(i + 1, r)
-        )
+        gaps = np.abs(eigs[:, None] - eigs[None, :])
+        spread = max(gaps.max(), 1e-12)
+        dmin = gaps[~np.eye(r, dtype=bool)].min()
         if dmin < 1e-6 * spread:
             continue
         coords = []

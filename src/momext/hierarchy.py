@@ -6,8 +6,9 @@ for problems over real variables). The relaxation at order d is one PSD
 block per matrix inequality plus linear equality rows; equality constraints
 and the normalization y[0,0] = 1 stay linear rather than becoming paired
 PSD blocks, which preserves strict feasibility for the interior-point
-solver. SDPA export rewrites the equality rows as paired 1x1 diagonal
-blocks, since the sparse format is pure-LMI.
+solver. Block coefficients stay sparse (entry, var, coeff) triplets from
+assembly through realify and SDPA export into the solver; the export
+rewrites the equality rows as paired 1x1 diagonal blocks (SDPA is pure-LMI).
 """
 
 from __future__ import annotations
@@ -172,16 +173,27 @@ def _split_index(s, d):
 
 @dataclass
 class SDPBlock:
+    """const + sum_i x_i A_i >= 0, with A_{var[t]} holding coeff[t] at entry[t]
+    = row * size + col: one nonzero triplet per (var, entry), grouped by unknown
+    in order of first use, the order in which the solver adds them up."""
+
     name: str
     size: int
     const: np.ndarray
-    coeffs: dict  # var index -> matrix
+    entry: np.ndarray
+    var: np.ndarray
+    coeff: np.ndarray
 
     def evaluate(self, x):
-        m = self.const.copy()
-        for i, f in self.coeffs.items():
-            m = m + x[i] * f
-        return m
+        m = np.zeros(self.size * self.size, dtype=np.result_type(self.const, self.coeff))
+        np.add.at(m, self.entry, np.asarray(x)[self.var] * self.coeff)
+        return self.const + m.reshape(self.size, self.size)
+
+    def unknowns(self):
+        """(var, entry, coeff) of each unknown, in block order."""
+        cuts = np.flatnonzero(np.diff(self.var, prepend=-1, append=-1))
+        return [(int(self.var[a]), self.entry[a:b], self.coeff[a:b])
+                for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 @dataclass
@@ -289,14 +301,13 @@ def problem_to_text(problem):
 # -------------------------------------------------------------- relaxation
 
 
-def _shifted_terms(rmap, t, cells):
-    """Sparse triplets of a block of shifted moments.
+def _shifted_block(name, rmap, t, cells):
+    """SDPBlock of shifted moments, with a zero constant.
 
     cells[r][s] lists terms (gamma, delta, c); cell (r, s) of the block is
     the sum of c * y[alpha + gamma, beta + delta] over the labels alpha,
-    beta of order t. Returns the block size and the (entry, var, coeff)
-    arrays of every contribution, with entry = row * size + col, in scan
-    order: cells and entries row-major, then terms, then unknowns.
+    beta of order t. Each coefficient sums its contributions in scan order:
+    cells and entries row-major, then terms, then unknowns.
     """
     lay = layout(rmap.n, rmap.d)
     m = lay.size(t)
@@ -312,22 +323,20 @@ def _shifted_terms(rmap, t, cells):
             parts.append((np.broadcast_to(entry[:, :, None, None], var.shape), var, coeff))
     entry, var, coeff = (np.concatenate([p[k].ravel() for p in parts]) for k in range(3))
     used = var >= 0
-    return size, entry[used], var[used], coeff[used]
+    return SDPBlock(name, size, np.zeros((size, size), dtype=complex),
+                    *_coalesce(size, entry[used], var[used], coeff[used]))
 
 
-def _sdp_block(name, size, entry, var, coeff):
-    """SDPBlock with one dense coefficient matrix per unknown, in order of first use."""
-    order = np.argsort(var, kind="stable")
-    used, first, counts = np.unique(var, return_index=True, return_counts=True)
-    ends = np.cumsum(counts)
-    coeffs = {}
-    for k in np.argsort(first, kind="stable"):
-        sel = order[ends[k] - counts[k]: ends[k]]
-        mat = np.zeros(size * size, dtype=complex)
-        np.add.at(mat, entry[sel], coeff[sel])
-        coeffs[int(used[k])] = mat.reshape(size, size)
-    return SDPBlock(name=name, size=size, const=np.zeros((size, size), dtype=complex),
-                    coeffs=coeffs)
+def _coalesce(size, entry, var, coeff):
+    """SDPBlock triplets (entry, var, coeff) from raw contributions: each
+    (var, entry) sums its contributions in the given order, zero sums are
+    dropped, and the unknowns keep their order of first use."""
+    _, first, which = np.unique(var, return_index=True, return_inverse=True)
+    keys, where = np.unique(first[which] * size * size + entry, return_inverse=True)
+    total = np.zeros(len(keys), dtype=coeff.dtype)
+    np.add.at(total, where, coeff)
+    keys, total = keys[total != 0], total[total != 0]
+    return keys % (size * size), var[keys // (size * size)], total
 
 
 def _functional(rmap, terms):
@@ -352,26 +361,22 @@ def assemble_relaxation(problem, d, enforce_hyponormality=False):
     condition expressible at order d.
     """
     n = problem.n
-    if d < problem.d_K:
-        raise OrderTooSmall(
-            f"order-{d} relaxation is not defined: constraint degree needs d >= {problem.d_K}"
-        )
-    if d < problem.objective_order:
-        raise OrderTooSmall(
-            f"order-{d} relaxation is not defined: objective degree needs d >= {problem.objective_order}"
-        )
+    for what, need in (("constraint", problem.d_K), ("objective", problem.objective_order)):
+        if d < need:
+            raise OrderTooSmall(
+                f"order-{d} relaxation is not defined: {what} degree needs d >= {need}")
     rmap = RelaxationMap(n, d, real_vars=problem.real_vars)
     zero = (0,) * n
-    blocks = [_sdp_block("moment", *_shifted_terms(rmap, d, [[[(zero, zero, 1.0)]]]))]
+    blocks = [_shifted_block("moment", rmap, d, [[[(zero, zero, 1.0)]]])]
     eq_rows = []
 
     for ci, con in enumerate(problem.constraints):
         cells = [[[(gamma, delta, c) for (gamma, delta), c in con.poly.terms.items()]]]
-        terms = _shifted_terms(rmap, d - con.poly.k, cells)
+        block = _shifted_block(f"localizing:{ci}", rmap, d - con.poly.k, cells)
         if con.kind == "ineq":
-            blocks.append(_sdp_block(f"localizing:{ci}", *terms))
+            blocks.append(block)
         else:
-            eq_rows.extend(_equality_rows(rmap, *terms))
+            eq_rows.extend(_equality_rows(rmap, block))
 
     # normalization y[0,0] = 1
     eq_rows.append((_functional(rmap, {(zero, zero): 1.0}).real, 1.0))
@@ -381,7 +386,7 @@ def assemble_relaxation(problem, d, enforce_hyponormality=False):
             cells = [[[(gamma, delta, 1.0)] for gamma, delta in row]
                      for row in hyponormality_grid(n, i_var, j_var)]
             name = "hypo:uni" if n == 1 else f"hypo:{i_var},{j_var}"
-            blocks.append(_sdp_block(name, *_shifted_terms(rmap, d - 1, cells)))
+            blocks.append(_shifted_block(name, rmap, d - 1, cells))
 
     acc = _functional(rmap, problem.objective.terms)
     if np.any(np.abs(acc.imag) > 1e-9 * np.maximum(1.0, np.abs(acc))):
@@ -393,35 +398,34 @@ def assemble_relaxation(problem, d, enforce_hyponormality=False):
         eq_a=np.vstack([row for row, _ in eq_rows]),  # never empty: y[0,0] = 1
         eq_b=np.array([rhs for _, rhs in eq_rows]),
         objective=acc.real.copy(),
-        obj_const=0.0,
         is_real=problem.real_vars,
     )
     return sdp, rmap
 
 
-def _equality_rows(rmap, size, entry, var, coeff):
-    """Real equality rows (a . x = b) for a vanishing localizing matrix.
+def _equality_rows(rmap, block):
+    """Real equality rows (a . x = b) for a vanishing localizing block.
 
     Only the upper triangle is scanned; the lower one is its conjugate.
     Near-duplicate rows (from structural symmetry) are dropped.
     """
-    dense = np.zeros((size * size, rmap.n_vars), dtype=complex)
-    np.add.at(dense, (entry, var), coeff)
-    rows = []
-    seen = set()
-    for i in range(size):
-        for j in range(i, size):
-            for part in (dense[i * size + j].real, dense[i * size + j].imag):
-                nz = np.flatnonzero(np.abs(part) > 1e-14)
-                if not nz.size:
-                    continue
-                sig = _row_signature(nz.tolist(), part[nz].tolist())
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                row = np.zeros(rmap.n_vars)
-                row[nz] = part[nz]
-                rows.append((row, 0.0))
+    upper = np.flatnonzero(block.entry // block.size <= block.entry % block.size)
+    order = upper[np.lexsort((block.var[upper], block.entry[upper]))]
+    entry, var, coeff = block.entry[order], block.var[order], block.coeff[order]
+    cuts = np.flatnonzero(np.diff(entry, prepend=-1, append=-1))
+    rows, seen = [], set()
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        for part in (coeff[a:b].real, coeff[a:b].imag):
+            keep = np.abs(part) > 1e-14
+            if not keep.any():
+                continue
+            sig = _row_signature(var[a:b][keep].tolist(), part[keep].tolist())
+            if sig in seen:
+                continue
+            seen.add(sig)
+            row = np.zeros(rmap.n_vars)
+            row[var[a:b][keep]] = part[keep]
+            rows.append((row, 0.0))
     return rows
 
 
@@ -436,35 +440,35 @@ def _row_signature(indices, values):
 def realify(sdp):
     """Rewrite complex Hermitian blocks as real symmetric ones.
 
-    H becomes [[Re H, -Im H], [Im H, Re H]], doubling eigenvalue
-    multiplicities; blocks that are already real pass through unchanged.
+    H becomes [[Re S, -Im S], [Im S, Re S]] with S = (H + H*)/2, doubling
+    eigenvalue multiplicities; blocks that are already real pass through
+    unchanged. The coefficients stay triplets, in the same unknown order.
     """
     out_blocks = []
     for b in sdp.blocks:
-        mats = [b.const] + list(b.coeffs.values())
-        if all(np.all(np.abs(np.imag(m)) <= 1e-300) for m in mats):
-            out_blocks.append(
-                SDPBlock(b.name, b.size, np.real(b.const).astype(float),
-                         {i: np.real(f).astype(float) for i, f in b.coeffs.items()})
-            )
+        if np.all(np.abs(np.imag(np.append(b.const, b.coeff))) <= 1e-300):
+            real = np.real(b.coeff).astype(float)
+            keep = real != 0
+            out_blocks.append(SDPBlock(b.name, b.size, np.real(b.const).astype(float),
+                                       b.entry[keep], b.var[keep], real[keep]))
             continue
-        out_blocks.append(
-            SDPBlock(
-                b.name,
-                2 * b.size,
-                _embed(b.const),
-                {i: _embed(f) for i, f in b.coeffs.items()},
-            )
-        )
+        s = b.size
+        row, col = np.divmod(b.entry, s)
+        entry, var, h = _coalesce(s, np.concatenate([b.entry, col * s + row]),
+                                  np.concatenate([b.var, b.var]),
+                                  np.concatenate([b.coeff, b.coeff.conj()]))
+        tl = entry + entry // s * s  # flat position of [i, j] in the 2s x 2s block
+        quads = np.stack([tl, tl + s, tl + 2 * s * s, tl + 2 * s * s + s], axis=1)
+        vals = np.stack([h.real, -h.imag, h.imag, h.real], axis=1) / 2.0
+        keep = vals != 0
+        out_blocks.append(SDPBlock(b.name, 2 * s, _embed(b.const), quads[keep],
+                                   np.repeat(var[:, None], 4, axis=1)[keep], vals[keep]))
     return SDPProblem(sdp.var_names, out_blocks, sdp.eq_a, sdp.eq_b,
                       sdp.objective, sdp.obj_const, is_real=True)
 
 
 def _embed(h):
-    re, im = np.real(h), np.imag(h)
-    top = np.hstack([re, -im])
-    bot = np.hstack([im, re])
-    out = np.vstack([top, bot])
+    out = np.block([[np.real(h), -np.imag(h)], [np.imag(h), np.real(h)]])
     return (out + out.T) / 2.0
 
 
@@ -489,15 +493,14 @@ def export_sdpa(sdp, comment="momext export"):
     lines.append(" ".join(map(_fmt, sdp.objective)))
 
     entries = []  # (matno, blkno, i, j, value), 1-based with i <= j
-
-    def emit(matno, blkno, mat):
-        rows, cols = np.nonzero(np.triu(mat))
-        entries.extend((matno, blkno, i + 1, j + 1, mat[i, j]) for i, j in zip(rows, cols))
-
     for bi, b in enumerate(sdp.blocks, start=1):
-        emit(0, bi, -np.real(b.const))  # F_0 = -const
-        for vi, f in sorted(b.coeffs.items()):
-            emit(vi + 1, bi, np.real(f))
+        f0 = -np.real(b.const)
+        rows, cols = np.nonzero(np.triu(f0))
+        entries.extend((0, bi, i + 1, j + 1, f0[i, j]) for i, j in zip(rows, cols))
+        rows, cols = np.divmod(b.entry, b.size)
+        upper = rows <= cols
+        entries.extend((k + 1, bi, i + 1, j + 1, v) for k, i, j, v in
+                       zip(b.var[upper], rows[upper], cols[upper], np.real(b.coeff[upper])))
     if n_eq:
         # row r becomes a.x - b >= 0 and b - a.x >= 0, the diagonal entries
         # 2r+1 and 2r+2 of one block; column k of [b, a] belongs to matrix k
@@ -523,13 +526,7 @@ class SdpaText:
 
 def read_sdpa(text):
     """Parse SDPA sparse text back into its structural pieces."""
-    lines = [ln for ln in text.splitlines()]
-    body = []
-    for ln in lines:
-        stripped = ln.strip()
-        if not stripped or stripped.startswith('"') or stripped.startswith("*"):
-            continue
-        body.append(stripped)
+    body = [ln.strip() for ln in text.splitlines() if ln.strip()[:1] not in ("", '"', "*")]
     if len(body) < 4:
         raise FormatError("truncated SDPA input")
     try:
@@ -556,6 +553,9 @@ def read_sdpa(text):
             raise FormatError(f"malformed entry line {ln!r}") from None
         if not (0 <= matno <= m) or not (1 <= blkno <= nblocks):
             raise FormatError(f"entry indices out of range in {ln!r}")
+        size = sizes[blkno - 1]
+        if not (1 <= i <= abs(size) and 1 <= j <= abs(size)) or (size < 0 and i != j):
+            raise FormatError(f"entry outside its block in {ln!r}")
         entries.setdefault(matno, []).append((blkno, i, j, value))
     return SdpaText(n_vars=m, block_sizes=sizes, objective=objective, entries=entries)
 

@@ -1,4 +1,4 @@
-"""Dense primal-dual interior-point solver for small block-diagonal SDPs.
+"""Primal-dual interior-point solver for small block-diagonal SDPs.
 
 Solves the LMI-form problem produced by the relaxation assembler:
 
@@ -6,7 +6,8 @@ Solves the LMI-form problem produced by the relaxation assembler:
     subject to  S_j(x) = C_j + sum_i x_i A_{ji}  >=  0   (each block)
                 E x = e                                   (equality rows)
 
-Equality rows are eliminated up front through a nullspace basis; the
+Equality rows are eliminated up front through a nullspace basis, which
+turns the blocks' sparse triplets into dense coefficient stacks; the
 reduced pure-LMI problem is then solved by an infeasible-start Mehrotra
 predictor-corrector on the HKM direction, with the Schur complement
 factored by Cholesky under adaptive diagonal regularization. Reported
@@ -103,21 +104,21 @@ def _presolve_equalities(sdp):
 
 
 def _reduced_blocks(sdp, x_p, nullspace):
-    """Blocks rewritten over the nullspace coordinates u (x = x_p + N u)."""
+    """Blocks rewritten over the nullspace coordinates u (x = x_p + N u): each
+    unknown, in block order, adds its triplets into the columns where its
+    nullspace row is nonzero. The stacks are dense: the nullspace fills them in."""
     reduced = []
     f = nullspace.shape[1]
     for b in sdp.blocks:
         const = np.asarray(np.real(b.const), dtype=float).copy()
-        stack = np.zeros((f, b.size, b.size))
-        for i, mat in b.coeffs.items():
-            mat = np.asarray(np.real(mat), dtype=float)
-            const += x_p[i] * mat
+        stack = np.zeros((f, b.size * b.size))
+        for i, entry, coeff in b.unknowns():
+            const.reshape(-1)[entry] += x_p[i] * coeff
             row = nullspace[i]
             nz = np.nonzero(np.abs(row) > 0)[0]
-            stack[nz] += row[nz, None, None] * mat
-        const = (const + const.T) / 2.0
-        stack = (stack + np.transpose(stack, (0, 2, 1))) / 2.0
-        reduced.append((const, stack))
+            stack[nz[:, None], entry] += row[nz, None] * coeff
+        stack = stack.reshape(f, b.size, b.size)
+        reduced.append(((const + const.T) / 2.0, (stack + stack.transpose(0, 2, 1)) / 2.0))
     return reduced
 
 
@@ -188,9 +189,7 @@ def solve(sdp, opts=None):
     blocks = _reduced_blocks(sdp, x_p, nullspace)
 
     if f == 0:
-        feas = min(
-            (np.linalg.eigvalsh(cb)[0] for cb, _ in blocks), default=0.0
-        )
+        feas = min((np.linalg.eigvalsh(cb)[0] for cb, _ in blocks), default=0.0)
         ok = feas >= -opts.feasibility_tolerance
         return Solution(
             variables=x_p,

@@ -8,6 +8,7 @@ with its mirror image and with the moments of the extracted measure).
 
 import numpy as np
 
+from momext.hierarchy import SDPBlock
 from momext.moment import MomentSequence, enumerate_indices
 
 
@@ -311,3 +312,12 @@ def brute_moments_hankel(atoms, weights, n, d):
             acc += w * np.prod(z ** np.array(s))
         values[s] = acc
     return MomentSequence(n=n, d=d, mode="hankel", values=values)
+
+
+def block_from_dense(name, size, const, coeffs):
+    """SDPBlock from one dense matrix per unknown {var: matrix}, in dict order."""
+    mats = [np.ravel(m) for m in coeffs.values()]
+    entry = [np.flatnonzero(m) for m in mats]
+    return SDPBlock(name, size, np.asarray(const), np.concatenate(entry),
+                    np.repeat(list(coeffs), [len(e) for e in entry]),
+                    np.concatenate([m[e] for m, e in zip(mats, entry)]))

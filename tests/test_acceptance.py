@@ -382,9 +382,9 @@ def test_criterion_8e_lemma_properties():
 def test_criterion_9_solver_sanity(ellipse_d3, reduced_d2_plain,
                                    reduced_d2_enforced, reduced_d3,
                                    torus_d3, torus_d4, triangle_d3):
-    from momext.hierarchy import SDPBlock, SDPProblem
+    from momext.hierarchy import SDPProblem
 
-    blk = SDPBlock("toy", 2, np.array([[0.0, 1.0], [1.0, 0.0]]), {0: np.eye(2)})
+    blk = pd.block_from_dense("toy", 2, np.array([[0.0, 1.0], [1.0, 0.0]]), {0: np.eye(2)})
     toy = SDPProblem(["x"], [blk], np.zeros((0, 1)), np.zeros(0),
                      np.array([1.0]), 0.0, is_real=True)
     sol = solve(toy)

@@ -95,6 +95,35 @@ class TestCheckCommand:
         rows = dict(line.split(" ", 1) for line in text.strip().splitlines())
         assert abs(float(rows["data_hypo_min_eig"]) - pd.EX2_DATA_MIN_EIG) < 1e-2
 
+    def test_no_matrix_decomposed_twice(self, monkeypatch):
+        # data_hypo_min_eig is read off the spectra the report prints
+        from momext import linalg
+
+        seen = []
+        original = linalg.hermitian_eig
+
+        def recording(a, *args, **kwargs):
+            seen.append(np.asarray(a).tobytes())
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "hermitian_eig", recording)
+        code, text = run(["check", demo("roots_of_unity.momseq"), "--format", "structured"])
+        assert code == 0 and "data_hypo_min_eig" in text
+        assert len(seen) == len(set(seen))
+
+    def test_data_hypo_min_eig_is_the_least_printed_eigenvalue(self, tmp_path):
+        # three variables: one block per pair (1,2), (1,3), (2,3)
+        rng = np.random.default_rng(4)
+        atoms = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        seq = pd.brute_moments_paired(atoms, [0.1, 0.2, 0.3, 0.4], n=3, d=2)
+        code, text = run(["check", write_fixture(tmp_path, seq, "n3.momseq"),
+                          "--format", "structured"])
+        rows = dict(line.split(" ", 1) for line in text.strip().splitlines())
+        spectra = [k for k in rows if k.startswith("data_hypo_spectrum.")]
+        assert code == 0 and len(spectra) == 3
+        assert rows["data_hypo_min_eig"] == min(
+            (rows[k].split()[0] for k in spectra), key=float)
+
     def test_never_modifies_input(self, tmp_path):
         seq_path = write_fixture(tmp_path, pd.ex5_seq(3), "ex5.momseq")
         before = open(seq_path).read()

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from momext import linalg
 from momext.errors import FormatError, NotHermitian, OrderTooSmall, ParseError
 from momext.hierarchy import (
+    Constraint,
+    PolynomialProblem,
     RelaxationMap,
     assemble_relaxation,
     export_sdpa,
@@ -16,6 +19,7 @@ from momext.hierarchy import (
     realify,
 )
 from momext.moment import (
+    HermitianPoly,
     enumerate_indices,
     hyponormality_block,
     localizing_matrix,
@@ -269,6 +273,26 @@ class TestRealify:
         assert e.shape == (4, 4)
         np.testing.assert_allclose(np.linalg.eigvalsh(e), [0, 0, 2, 2], atol=1e-12)
 
+    def test_each_coefficient_is_the_embedding_of_its_matrix(self):
+        # the triplets give, bit for bit, _embed of each unknown's dense matrix
+        from momext.hierarchy import _embed
+
+        p = parse_problem(demo("ellipse.pop"))
+        sdp, _ = assemble_relaxation(p, 3, enforce_hyponormality=True)
+        real = realify(sdp)
+        for cb, rb in zip(sdp.blocks, real.blocks):
+            assert rb.size == 2 * cb.size
+            unknowns = cb.unknowns()
+            assert [i for i, _, _ in rb.unknowns()] == [i for i, _, _ in unknowns]
+            for (i, entry, coeff), (_, r_entry, r_coeff) in zip(unknowns, rb.unknowns()):
+                h = np.zeros(cb.size ** 2, dtype=complex)
+                h[entry] = coeff
+                embedded = _embed(h.reshape(cb.size, cb.size)).ravel()
+                got = np.zeros(rb.size ** 2)
+                got[r_entry] = r_coeff
+                assert np.array_equal(got, embedded), (cb.name, i)
+                assert np.all(r_coeff != 0) and len(set(r_entry)) == len(r_entry)
+
     def test_min_eigenvalue_preserved(self):
         p = parse_problem(demo("ellipse.pop"))
         sdp, rmap = assemble_relaxation(p, 3)
@@ -332,6 +356,84 @@ class TestSdpaText:
             read_sdpa("2\n1\n")
         with pytest.raises(FormatError):
             read_sdpa("1\n1\n2\n1.0\n0 1 1\n")
+
+    @pytest.mark.parametrize("entry", ["1 1 9 9 1.0", "0 1 0 -3 2.0", "1 1 0 1 1.0",
+                                       "1 1 1 3 1.0", "1 2 1 2 1.0", "1 2 3 3 1.0"])
+    def test_read_sdpa_rejects_entries_outside_their_block(self, entry):
+        # block 1 is 2x2; block 2 is diagonal of size 2
+        header = "1\n2\n2 -2\n1.0\n"
+        assert read_sdpa(header + "1 1 1 2 1.0\n1 2 2 2 1.0\n").entries[1] == [
+            (1, 1, 2, 1.0), (2, 2, 2, 1.0)]
+        with pytest.raises(FormatError):
+            read_sdpa(header + entry + "\n")
+
+    @pytest.mark.parametrize("name, order, enforce", [
+        ("ellipse.pop", 3, True), ("torus.pop", 3, False), ("triangle.pop", 3, True)])
+    def test_blocks_rebuilt_from_sdpa_text_equal_the_blocks(self, name, order, enforce):
+        sdp, _ = assemble_relaxation(parse_problem(demo(name)), order,
+                                     enforce_hyponormality=enforce)
+        real = realify(sdp)
+        got = {}  # (blkno, matno, i, j) -> value over both triangles, 0-based i and j
+        for matno, items in read_sdpa(export_sdpa(real)).entries.items():
+            for blkno, i, j, v in items:
+                assert i <= j  # the upper triangle only
+                got[blkno, matno, i - 1, j - 1] = got[blkno, matno, j - 1, i - 1] = v
+        want = {}
+        for bi, b in enumerate(real.blocks, start=1):
+            for i, j in zip(*np.nonzero(b.const)):
+                want[bi, 0, i, j] = -b.const[i, j]
+            for k, e, v in zip(b.var, b.entry, b.coeff):
+                want[(bi, k + 1) + divmod(e, b.size)] = v
+        eq_block = len(real.blocks) + 1
+        for r, rhs_and_row in enumerate(np.column_stack([real.eq_b, real.eq_a])):
+            for k in np.flatnonzero(rhs_and_row):
+                want[eq_block, k, 2 * r, 2 * r] = rhs_and_row[k]
+                want[eq_block, k, 2 * r + 1, 2 * r + 1] = -rhs_and_row[k]
+        assert got == want
+
+
+def test_coalesce_sums_in_the_given_order_and_keeps_first_use_order():
+    from momext.hierarchy import _coalesce
+
+    # size 2; unknown 7 is used first, then 3. (var 3, entry 1) sums
+    # 1e16 + 1 - 1e16 to 0 in this order, and (var 7, entry 2) cancels
+    entry = np.array([2, 1, 0, 1, 2, 1, 3])
+    var = np.array([7, 3, 7, 3, 7, 3, 3])
+    coeff = np.array([1.5, 1e16, 2.0, 1.0, -1.5, -1e16, 4.0])
+    entry, var, coeff = _coalesce(2, entry, var, coeff)
+    assert entry.tolist() == [0, 3] and var.tolist() == [7, 3]
+    assert coeff.tolist() == [2.0, 4.0]
+    # the same terms in another order sum to 1
+    entry, var, coeff = _coalesce(2, np.array([1, 1, 1]), np.array([0, 0, 0]),
+                                  np.array([1e16, -1e16, 1.0]))
+    assert (entry.tolist(), var.tolist(), coeff.tolist()) == ([1], [0], [1.0])
+
+
+def _pop_ball_problem(n, seed):
+    """Minimize a random Hermitian quartic over the unit ball sum |z_k|^2 <= 1."""
+    rng = np.random.default_rng(seed)
+    exps = enumerate_indices(n, 2)
+    a = rng.standard_normal((len(exps),) * 2) + 1j * rng.standard_normal((len(exps),) * 2)
+    q = (a + a.conj().T) / 2.0
+    objective = HermitianPoly(n, {(ea, eb): q[i, j] for i, ea in enumerate(exps)
+                                  for j, eb in enumerate(exps)})
+    ball = {(exps[0], exps[0]): 1.0, **{(e, e): -1.0 for e in exps[1:n + 1]}}
+    return PolynomialProblem(n, objective, [Constraint(HermitianPoly(n, ball), "ineq")])
+
+
+def test_relaxation_assembly_memory_stays_sparse():
+    # one dense coefficient matrix per unknown took 57 MB here; the
+    # triplets take about 1 MB
+    problem = _pop_ball_problem(3, seed=1)
+    assert problem.objective.k == 2 and problem.d_K == 1
+    tracemalloc.start()
+    try:
+        real = realify(assemble_relaxation(problem, 3, enforce_hyponormality=True)[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [b.size for b in real.blocks] == [40, 20, 60, 60, 60]
+    assert peak < 10e6
 
 
 class TestSolutionImportMatchesPaper:

@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from momext.hierarchy import SDPBlock, SDPProblem, assemble_relaxation, parse_problem, realify
+from momext.hierarchy import SDPProblem, assemble_relaxation, parse_problem, realify
 from momext.sdp import SolveOptions, _reduced_blocks, _step_lengths, solve
+from paperdata import block_from_dense
 
 
 def lmi_problem(blocks, c, eq_a=None, eq_b=None, const=0.0):
@@ -37,23 +38,23 @@ def random_strictly_feasible(rng):
         x0 = rng.standard_normal((nn, nn))
         x0 = x0 @ x0.T + 0.5 * np.eye(nn)
         c += np.einsum("kij,ij->k", stack, x0)
-        blocks.append(SDPBlock(f"b{b}", nn, const, {i: stack[i] for i in range(f)}))
+        blocks.append(block_from_dense(f"b{b}", nn, const, {i: stack[i] for i in range(f)}))
     return lmi_problem(blocks, c)
 
 
 class TestAnalyticToy:
     def test_min_x_bordered(self):
         # min x s.t. [[x, 1], [1, x]] >= 0 has optimum x = 1
-        blk = SDPBlock("toy", 2, np.array([[0.0, 1.0], [1.0, 0.0]]),
-                       {0: np.eye(2)})
+        blk = block_from_dense("toy", 2, np.array([[0.0, 1.0], [1.0, 0.0]]),
+                               {0: np.eye(2)})
         sol = solve(lmi_problem([blk], [1.0]))
         assert sol.status == "optimal"
         assert abs(sol.primal_objective - 1.0) <= 1e-6
         assert abs(sol.dual_objective - 1.0) <= 1e-6
 
     def test_weak_duality_every_certified_iterate(self):
-        blk = SDPBlock("toy", 2, np.array([[0.0, 1.0], [1.0, 0.0]]),
-                       {0: np.eye(2)})
+        blk = block_from_dense("toy", 2, np.array([[0.0, 1.0], [1.0, 0.0]]),
+                               {0: np.eye(2)})
         sol = solve(lmi_problem([blk], [1.0]))
         for p, d in sol.certified_bounds(1e-8):
             assert p >= d - 10 * 1e-8
@@ -88,8 +89,8 @@ class TestRandomInstances:
 class TestEqualityPresolve:
     def test_equalities_eliminated(self):
         # min x0 + x1 s.t. x0 - x1 = 0 and diag(x0, 2 - x1) >= 0 -> x = 0
-        blk = SDPBlock("b", 2, np.diag([0.0, 2.0]),
-                       {0: np.diag([1.0, 0.0]), 1: np.diag([0.0, -1.0])})
+        blk = block_from_dense("b", 2, np.diag([0.0, 2.0]),
+                               {0: np.diag([1.0, 0.0]), 1: np.diag([0.0, -1.0])})
         sol = solve(lmi_problem([blk], [1.0, 1.0],
                                 eq_a=[[1.0, -1.0]], eq_b=[0.0]))
         assert sol.status == "optimal"
@@ -97,13 +98,13 @@ class TestEqualityPresolve:
         assert abs(sol.variables[0] - sol.variables[1]) <= 1e-9
 
     def test_inconsistent_rows_detected(self):
-        blk = SDPBlock("b", 1, np.array([[1.0]]), {0: np.array([[1.0]])})
+        blk = block_from_dense("b", 1, np.array([[1.0]]), {0: np.array([[1.0]])})
         sol = solve(lmi_problem([blk], [1.0],
                                 eq_a=[[1.0], [1.0]], eq_b=[0.0, 1.0]))
         assert sol.status == "infeasible_suspected"
 
     def test_fully_determined(self):
-        blk = SDPBlock("b", 1, np.array([[0.0]]), {0: np.array([[1.0]])})
+        blk = block_from_dense("b", 1, np.array([[0.0]]), {0: np.array([[1.0]])})
         sol = solve(lmi_problem([blk], [1.0], eq_a=[[1.0]], eq_b=[2.0]))
         assert sol.status == "optimal"
         assert abs(sol.primal_objective - 2.0) <= 1e-12
@@ -117,15 +118,15 @@ class TestOptions:
             SolveOptions(step_damping=1.5)
 
     def test_requires_realified(self):
-        blk = SDPBlock("b", 1, np.array([[1.0 + 0j]]), {0: np.array([[1.0 + 0j]])})
+        blk = block_from_dense("b", 1, np.array([[1.0 + 0j]]), {0: np.array([[1.0 + 0j]])})
         problem = SDPProblem(["v0"], [blk], np.zeros((0, 1)), np.zeros(0),
                              np.array([1.0]), 0.0, is_real=False)
         with pytest.raises(ValueError):
             solve(problem)
 
     def test_objective_constant_carried(self):
-        blk = SDPBlock("toy", 2, np.array([[0.0, 1.0], [1.0, 0.0]]),
-                       {0: np.eye(2)})
+        blk = block_from_dense("toy", 2, np.array([[0.0, 1.0], [1.0, 0.0]]),
+                               {0: np.eye(2)})
         sol = solve(lmi_problem([blk], [1.0], const=5.0))
         assert abs(sol.primal_objective - 6.0) <= 1e-6
 
@@ -221,7 +222,7 @@ class TestStall:
             x0 = rng.standard_normal((nn, nn))
             const = z0 @ z0.T + np.eye(nn) - np.einsum("k,kij->ij", u0, stack)
             c += np.einsum("kij,ij->k", stack, x0 @ x0.T + np.eye(nn))
-            blocks.append(SDPBlock(f"b{b}", nn, const, {i: stack[i] for i in range(f)}))
+            blocks.append(block_from_dense(f"b{b}", nn, const, {i: stack[i] for i in range(f)}))
         shapes = []
         original = np.linalg.cholesky
 
@@ -240,8 +241,8 @@ class TestStall:
     def test_overflowing_iterates_stop_the_solve(self):
         # x >= 0 and x <= -1 have no common point; the iterates overflow
         # instead of converging, and the run ends on its last finite iterate
-        blocks = [SDPBlock("a", 1, np.array([[0.0]]), {0: np.array([[1.0]])}),
-                  SDPBlock("b", 1, np.array([[-1.0]]), {0: np.array([[-1.0]])})]
+        blocks = [block_from_dense("a", 1, np.array([[0.0]]), {0: np.array([[1.0]])}),
+                  block_from_dense("b", 1, np.array([[-1.0]]), {0: np.array([[-1.0]])})]
         with np.errstate(over="ignore", invalid="ignore"):
             sol = solve(lmi_problem(blocks, [1.0]))
         assert sol.status == "infeasible_suspected"
@@ -256,8 +257,8 @@ class TestInfeasibility:
     def test_zero_objective_infeasible_lmi_is_flagged(self):
         # min 0 s.t. [[-1, x], [x, 1]] >= 0: no x makes the corner entry
         # nonnegative. Every iterate has gap 0, so only the residual tells.
-        blk = SDPBlock("toy", 2, np.diag([-1.0, 1.0]),
-                       {0: np.array([[0.0, 1.0], [1.0, 0.0]])})
+        blk = block_from_dense("toy", 2, np.diag([-1.0, 1.0]),
+                               {0: np.array([[0.0, 1.0], [1.0, 0.0]])})
         with np.errstate(over="ignore", invalid="ignore"):
             sol = solve(lmi_problem([blk], [0.0]))
         assert sol.status == "infeasible_suspected"
@@ -338,8 +339,10 @@ def reduced_block_reference(block, x_p, nullspace):
     """One block over the nullspace coordinates, one column at a time."""
     const = np.asarray(np.real(block.const), dtype=float).copy()
     stack = np.zeros((nullspace.shape[1], block.size, block.size))
-    for i, mat in block.coeffs.items():
-        mat = np.asarray(np.real(mat), dtype=float)
+    for i, entry, coeff in block.unknowns():
+        mat = np.zeros(block.size * block.size)
+        mat[entry] = coeff
+        mat = mat.reshape(block.size, block.size)
         const += x_p[i] * mat
         for k in np.nonzero(np.abs(nullspace[i]) > 0)[0]:
             stack[k] += nullspace[i, k] * mat
@@ -360,7 +363,7 @@ class TestReducedBlocks:
             # variable 6 appears in no block
             coeffs = {i: symmetric(rng, nn) * 10.0 ** rng.uniform(-6, 6)
                       for i in rng.permutation(nv) if i != 6}
-            blocks.append(SDPBlock(f"b{b}", nn, symmetric(rng, nn), coeffs))
+            blocks.append(block_from_dense(f"b{b}", nn, symmetric(rng, nn), coeffs))
         reduced = _reduced_blocks(lmi_problem(blocks, np.zeros(nv)), x_p, nullspace)
         assert len(reduced) == len(blocks)
         for (const, stack), block in zip(reduced, blocks):

@@ -24,17 +24,16 @@ from .extraction import (
     Tolerances,
     extract_measure,
     check_flatness,
+    data_hyponormality_spectra,
     feasibility_report,
     write_measure,
 )
 from .moment import (
     classify_structure,
-    hyponormality_block,
     moment_matrix,
     read_sequence,
     sequence_to_text,
     unit_index,
-    variable_pairs,
     write_sequence,
 )
 
@@ -71,6 +70,17 @@ EXIT_HELP = "exit codes:\n" + "".join(
 
 BAD_COMMAND_LINE = 2
 SOLVER_NOT_OPTIMAL = 16
+
+
+class BadCommandLine(Exception):
+    """An option value the command cannot use: one stderr line, exit BAD_COMMAND_LINE."""
+
+
+def _at_least(value, flag, least):
+    """value, unless it is below least (None passes): then BadCommandLine."""
+    if value is not None and value < least:
+        raise BadCommandLine(f"{flag} must be >= {least}, got {value}")
+    return value
 
 
 def _fmt(x):
@@ -195,7 +205,8 @@ def cmd_extract(args):
     rep.add("input.n", seq.n)
     rep.add("input.d", seq.d)
     rep.add("input.mode", seq.mode)
-    measure, report = _extract(rep, args, seq, d=args.order, dk=args.gap, mode=mode, tol=tol)
+    measure, report = _extract(rep, args, seq, d=_at_least(args.order, "--order", 0),
+                               dk=args.gap, mode=mode, tol=tol)
     _report_extraction(rep, report)
     _report_measure(rep, measure)
     if args.out:
@@ -219,8 +230,7 @@ def cmd_check(args):
     rep.add("structure.hermitian", flags.hermitian)
     rep.add("structure.hankel", flags.hankel)
     rep.add("structure.toeplitz", flags.toeplitz)
-    sym = (mm.matrix + mm.matrix.conj().T) / 2.0
-    vals, _ = linalg.hermitian_eig(sym, tol=np.inf)
+    vals, _ = linalg.hermitian_eig(mm.matrix, tol=np.inf)
     flat = check_flatness(seq, seq.d, args.gap, tol.rank_tol, matrix=mm.matrix,
                           values=vals if seq.mode == "paired" else None)
     rep.add("ranks", flat.ranks)
@@ -228,13 +238,10 @@ def cmd_check(args):
     rep.add("flat_gap", flat.flat_dk)
     rep.add("moment_spectrum", [float(v) for v in vals])
     if seq.mode == "paired" and seq.d - args.gap >= 0:
-        min_eig = np.inf
-        for i, j in variable_pairs(seq.n):
-            blk = hyponormality_block(seq, args.gap, i, j).matrix
-            bvals, _ = linalg.hermitian_eig((blk + blk.conj().T) / 2.0, tol=np.inf)
+        spectra = data_hyponormality_spectra(seq, args.gap)
+        for (i, j), bvals in spectra.items():
             rep.add(f"data_hypo_spectrum.{i},{j}", [float(v) for v in bvals])
-            min_eig = min(min_eig, float(bvals[0]))
-        rep.add("data_hypo_min_eig", min_eig)
+        rep.add("data_hypo_min_eig", min(float(bvals[0]) for bvals in spectra.values()))
     _emit(rep, args)
     return 0
 
@@ -247,8 +254,7 @@ def cmd_solve(args):
             feasibility_tolerance=args.feas_tol,
         )
     except ValueError as exc:
-        sys.stderr.write(f"momext: solve: bad solver option: {exc}\n")
-        return BAD_COMMAND_LINE
+        raise BadCommandLine(f"bad solver option: {exc}") from None
     problem = hierarchy.parse_problem(args.problem)
     tol = _tolerances(args)
     rep = Report()
@@ -283,7 +289,7 @@ def cmd_solve(args):
     _report_extraction(rep, report)
     if not ball:
         rep.add("note", "no ball constraint detected; shift boundedness not guaranteed a priori")
-    feats = feasibility_report(measure, problem, tol=max(tol.dedup_tol, 1e-6) * 10,
+    feats = feasibility_report(measure, problem, tol=1e-5,
                                seq=seq, dk=problem.d_K, moment_spectrum=report.moment_spectrum)
     for row in feats:
         rep.add(
@@ -322,7 +328,7 @@ def cmd_interpolate(args):
         model = interp.read_model(args.model)
         if args.sample is None:
             raise errors.ParseError("--model needs --sample ORDER to generate a grid")
-        samples = interp.sample_grid(model, args.sample)
+        samples = interp.sample_grid(model, _at_least(args.sample, "--sample", 1))
     else:
         if not args.samples:
             raise errors.ParseError("need a samples file or --model/--sample")
@@ -336,7 +342,8 @@ def cmd_interpolate(args):
     rep.add("command", "interpolate")
     rep.add("input.n", samples.n)
     rep.add("input.max_order", samples.d)
-    model, report = interp.interpolate(samples, d_max=args.dmax, tol=tol, seed=args.seed)
+    model, report = interp.interpolate(samples, d_max=_at_least(args.dmax, "--dmax", 1),
+                                       tol=tol, seed=args.seed)
     _report_extraction(rep, report)
     rep.add("model.terms", len(model.terms))
     for term in model.terms:
@@ -351,7 +358,7 @@ def cmd_interpolate(args):
 
 def cmd_sample(args):
     model = interp.read_model(args.model)
-    samples = interp.sample_grid(model, args.order)
+    samples = interp.sample_grid(model, _at_least(args.order, "--order", 1))
     rep = Report()
     rep.add("command", "sample")
     rep.add("model.terms", len(model.terms))
@@ -379,6 +386,10 @@ def _parse_range(spec):
 def cmd_signal(args):
     model = interp.read_model(args.model)
     ranges = [_parse_range(r) for r in args.range]
+    if len(ranges) != model.n:
+        raise BadCommandLine(f"need one --range per variable ({model.n}), got {len(ranges)}")
+    for _, _, count in ranges:
+        _at_least(count, "--range count", 0)
     _write_or_print(interp.emit_signal(model, ranges, which=args.part), args.out)
     return 0
 
@@ -489,6 +500,9 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except BadCommandLine as exc:
+        sys.stderr.write(f"momext: {args.command}: {exc}\n")
+        return BAD_COMMAND_LINE
     except (errors.MomextError, OSError) as exc:
         sys.stderr.write(f"momext: {type(exc).__name__}: {exc}\n")
         return next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), 1)

@@ -33,11 +33,13 @@ from .moment import (
     _complexes,
     _fmt,
     _integer,
+    _merge_close,
     _read_records,
     _tolerant_order,
     _write_records,
     classify_structure,
     hyponormality_block,
+    hyponormality_grid,
     index_count,
     layout,
     localizing_matrix,
@@ -68,6 +70,8 @@ __all__ = [
 CONJUGATE = "conjugate_transpose"
 TRANSPOSE = "transpose"
 
+DIAG_ATTEMPTS = 20  # random combinations simultaneous_diagonalize tries
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -83,7 +87,6 @@ class Tolerances:
     shift_tol: float = 1e-6
     hypo_tol: float = 1e-6
     struct_tol: float = 1e-9
-    dedup_tol: float = 1e-6
     weight_floor: float = 1e-8
     offdiag_tol: float = 1e-8
 
@@ -203,15 +206,18 @@ def check_flatness(seq, d=None, dk=1, tol=1e-7, matrix=None, values=None, leadin
     stands 1/tol above delta. Its values past index rank M_d are at most
     delta (interlacing), so rank M_t never exceeds rank M_d, and a value
     well clear of everything M_d discards is not lost to the relative
-    threshold of the smaller matrix.
+    threshold of the smaller matrix. A gap dk < 1 raises OrderTooSmall:
+    flat_dk would compare rank M_d with itself.
     """
+    if dk < 1:
+        raise OrderTooSmall(f"certification needs a gap dk >= 1, got {dk}")
     d = seq.d if d is None else d
     big = moment_matrix(seq, d).matrix if matrix is None else matrix
 
     def magnitudes(sub):
         if seq.mode == "hankel":
-            return linalg.takagi((sub + sub.T) / 2.0, tol=np.inf).values
-        return np.abs(linalg.hermitian_eig((sub + sub.conj().T) / 2.0, tol=np.inf).values)
+            return linalg.takagi(sub, tol=np.inf).values
+        return np.abs(linalg.hermitian_eig(sub, tol=np.inf).values)
 
     top = magnitudes(big) if values is None else np.abs(np.asarray(values, dtype=float))
     r_d = linalg.numeric_rank(top, tol)
@@ -280,17 +286,25 @@ def compute_shifts(x, labels, basis, mode, tol=1e-6):
     )
 
 
-def operator_hypo_block(ti, tj):
-    """Hermitian operator block testing hyponormality of the pair (T_i, T_j)."""
-    r = ti.shape[0]
-    eye = np.eye(r, dtype=complex)
-    return np.block(
-        [
-            [eye, ti.conj().T, tj.conj().T],
-            [ti, ti.conj().T @ ti, tj.conj().T @ ti],
-            [tj, ti.conj().T @ tj, tj.conj().T @ tj],
-        ]
-    )
+def operator_hypo_block(*shifts):
+    """Hermitian operator block testing the joint hyponormality of one or two shifts.
+
+    Laid out as the data-level block (`moment.hyponormality_grid`): cell
+    (r, s) is S_s^* S_r, with S_0 = I and S_k the k-th shift. One shift
+    gives the 2x2 univariate block, two give the 3x3 block of the pair.
+    """
+    k = len(shifts)
+    eye = np.eye(shifts[0].shape[0], dtype=complex)
+    ops = {(0,) * k: eye} | {unit_index(k, i): t for i, t in enumerate(shifts, 1)}
+
+    def cell(gamma, delta):  # S_gamma^* S_delta; a product with I is not formed
+        left, right = ops[gamma], ops[delta]
+        if left is eye:
+            return right
+        return left.conj().T if right is eye else left.conj().T @ right
+
+    return np.block([[cell(gamma, delta) for gamma, delta in row]
+                     for row in hyponormality_grid(k, 1, k)])
 
 
 def _max_commutator(ops):
@@ -305,28 +319,22 @@ def _max_commutator(ops):
 def check_hyponormality(shifts, tol=1e-6):
     """Operator-level joint hyponormality test.
 
-    For n >= 2: the minimum eigenvalue over all pairwise operator blocks
-    plus the largest pairwise commutator norm among the shifts and their
-    adjoints. For n == 1 only the self-commutator norm matters (its trace
-    vanishes in finite dimension, so PSD forces zero).
+    The minimum eigenvalue over the operator blocks of `variable_pairs(n)`
+    (the 2x2 univariate block for n == 1), and the largest pairwise
+    commutator norm among the shifts and their adjoints. For n == 1 the
+    commutator alone decides: the self-commutator's trace vanishes in
+    finite dimension, so PSD forces it to zero.
     """
     ts = [np.asarray(t, dtype=complex) for t in shifts.shifts]
     n = len(ts)
     scale = max(1.0, max(np.linalg.norm(t, 2) for t in ts) ** 2)
     comm = _max_commutator(ts + [t.conj().T for t in ts])
-    if n == 1:
-        t = ts[0]
-        block = np.block([[np.eye(t.shape[0], dtype=complex), t.conj().T], [t, t.conj().T @ t]])
-        vals, _ = linalg.hermitian_eig(block, tol=1e-6)
-        min_eig = float(vals[0])
-        passed = comm <= tol * scale
-    else:
-        min_eig = np.inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                vals, _ = linalg.hermitian_eig(operator_hypo_block(ts[i], ts[j]), tol=1e-6)
-                min_eig = min(min_eig, float(vals[0]))
-        passed = (min_eig >= -tol * scale) and (comm <= tol * scale)
+    min_eig = np.inf
+    for i, j in variable_pairs(n):
+        pair = [ts[i - 1]] if i == j else [ts[i - 1], ts[j - 1]]
+        vals, _ = linalg.hermitian_eig(operator_hypo_block(*pair), tol=1e-6)
+        min_eig = min(min_eig, float(vals[0]))
+    passed = comm <= tol * scale and (n == 1 or min_eig >= -tol * scale)
     return HyponormalityCheck(
         min_eig=float(min_eig), commutator_norm=float(comm), passed=bool(passed), scale=scale
     )
@@ -335,27 +343,17 @@ def check_hyponormality(shifts, tol=1e-6):
 def _unitary_diagonalizer(a, offdiag_tol):
     """Unitary P with P^* a P diagonal, for (numerically) normal a.
 
-    Two-step: diagonalize the Hermitian part, then the skew part restricted
-    to each eigenvalue cluster of the first step. Returns None when the
-    result fails the off-diagonal test, signalling the caller to redraw.
+    `linalg._joint_eigh` of the commuting Hermitian and skew parts of a.
+    Returns None when the result fails the off-diagonal test, signalling
+    the caller to redraw.
     """
-    r = a.shape[0]
-    h = (a + a.conj().T) / 2.0
-    k = (a - a.conj().T) / 2.0j
-    hvals, p = linalg.hermitian_eig(h, tol=np.inf)
-    spread = max(hvals[-1] - hvals[0], 1.0)
-    for i, j in linalg.cluster_bounds(hvals, 1e-9 * spread):
-        if j - i > 1:
-            block = p[:, i:j]
-            sub = block.conj().T @ k @ block
-            sub = (sub + sub.conj().T) / 2.0
-            _, svecs = linalg.hermitian_eig(sub, tol=np.inf)
-            p[:, i:j] = block @ svecs
-    check = p.conj().T @ a @ p
-    off = np.linalg.norm(check - np.diag(np.diag(check)))
-    if off > offdiag_tol * max(1.0, np.linalg.norm(a, 2)):
-        return None
-    return p
+    p = linalg._joint_eigh((a + a.conj().T) / 2.0, (a - a.conj().T) / 2.0j, 1e-9)
+    return None if _off_diagonal(p.conj().T @ a @ p, a, offdiag_tol) else p
+
+
+def _off_diagonal(e, a, tol):
+    """True when the off-diagonal part of e = P^bullet a P exceeds tol * max(1, ||a||_2)."""
+    return np.linalg.norm(e - np.diag(np.diag(e))) > tol * max(1.0, np.linalg.norm(a, 2))
 
 
 def _orthogonal_diagonalizer(a, offdiag_tol):
@@ -372,34 +370,29 @@ def _orthogonal_diagonalizer(a, offdiag_tol):
         if abs(bil) < 1e-6:
             return "isotropic", None
         p[:, idx] = v / np.sqrt(bil)
-    ident = p.T @ p
-    if np.linalg.norm(ident - np.eye(a.shape[0])) > offdiag_tol * a.shape[0]:
-        return "retry", None
-    check = p.T @ a @ p
-    off = np.linalg.norm(check - np.diag(np.diag(check)))
-    if off > offdiag_tol * max(1.0, np.linalg.norm(a, 2)):
+    if (np.linalg.norm(p.T @ p - np.eye(a.shape[0])) > offdiag_tol * a.shape[0]
+            or _off_diagonal(p.T @ a @ p, a, offdiag_tol)):
         return "retry", None
     return "ok", p
 
 
-def simultaneous_diagonalize(shifts, seed=0, tol=1e-8, max_attempts=20):
+def simultaneous_diagonalize(shifts, seed=0, tol=1e-8):
     """Joint diagonalization of a commuting shift family.
 
     Draws random real combination coefficients, diagonalizes the combined
     operator (Hermitian two-step in conjugate mode, general eigensolve with
     bilinear normalization in transpose mode), and retries on eigenvalue
-    collisions or isotropic eigenvectors. Returns (P, coords) with coords[k]
-    the diagonal of P^bullet T_{k+1} P.
+    collisions or isotropic eigenvectors, up to DIAG_ATTEMPTS draws.
+    Returns (P, coords) with coords[k] the diagonal of P^bullet T_{k+1} P.
     """
     ts = [np.asarray(t, dtype=complex) for t in shifts.shifts]
     n = len(ts)
     r = ts[0].shape[0]
     if r == 1:
-        p = np.eye(1, dtype=complex)
-        return p, [np.array([t[0, 0]]) for t in ts]
+        return np.eye(1, dtype=complex), [np.array([t[0, 0]]) for t in ts]
     rng = np.random.default_rng(seed)
     last_isotropic = False
-    for _ in range(max_attempts):
+    for _ in range(DIAG_ATTEMPTS):
         t = rng.uniform(-1.0, 1.0, n)
         a = sum(tk * mk for tk, mk in zip(t, ts))
         if shifts.mode == CONJUGATE:
@@ -409,9 +402,7 @@ def simultaneous_diagonalize(shifts, seed=0, tol=1e-8, max_attempts=20):
             bullet = p.conj().T
         else:
             status, p = _orthogonal_diagonalizer(a, max(tol, 1e-6))
-            if status == "isotropic":
-                last_isotropic = True
-                continue
+            last_isotropic |= status == "isotropic"
             if status != "ok":
                 continue
             bullet = p.T
@@ -421,39 +412,17 @@ def simultaneous_diagonalize(shifts, seed=0, tol=1e-8, max_attempts=20):
         dmin = gaps[~np.eye(r, dtype=bool)].min()
         if dmin < 1e-6 * spread:
             continue
-        coords = []
-        ok = True
-        for mk in ts:
-            e = bullet @ mk @ p
-            off = np.linalg.norm(e - np.diag(np.diag(e)))
-            if off > max(tol, 1e-6) * max(1.0, np.linalg.norm(mk, 2)):
-                ok = False
-                break
-            coords.append(np.diag(e).copy())
-        if not ok:
+        es = [bullet @ mk @ p for mk in ts]
+        if any(_off_diagonal(e, mk, max(tol, 1e-6)) for e, mk in zip(es, ts)):
             continue
-        return p, coords
+        return p, [np.diag(e).copy() for e in es]
     if last_isotropic:
         raise IsotropicEigenvector(
             "bilinear normalization kept hitting isotropic eigenvectors"
         )
     raise DegenerateCombination(
-        f"no usable random combination after {max_attempts} attempts"
+        f"no usable random combination after {DIAG_ATTEMPTS} attempts"
     )
-
-
-def _dedup_atoms(atoms, weights, tol):
-    """Merge atoms closer than `tol` in max-coordinate distance."""
-    merged_atoms, merged_weights = [], []
-    for atom, w in zip(atoms, weights):
-        for idx, ref in enumerate(merged_atoms):
-            if max(abs(a - b) for a, b in zip(atom, ref)) <= tol:
-                merged_weights[idx] += w
-                break
-        else:
-            merged_atoms.append(atom)
-            merged_weights.append(w)
-    return merged_atoms, merged_weights
 
 
 def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None, takagis=None):
@@ -482,7 +451,7 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None, takagis=None
 
     # the one eigendecomposition of M_d: rank at order d of paired data,
     # smallest eigenvalue, root factor and certification scale
-    eig = linalg.hermitian_eig((mm.matrix + mm.matrix.conj().T) / 2.0, tol=np.inf)
+    eig = linalg.hermitian_eig(mm.matrix, tol=np.inf)
     rank_values = eig.values if seq.mode == "paired" else None
     tk = leading = None
     if mode == TRANSPOSE and seq.mode == "hankel":
@@ -573,7 +542,7 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None, takagis=None
         atoms.append(atom)
         weights.append(w)
 
-    atoms, weights = _dedup_atoms(atoms, weights, tol.dedup_tol)
+    atoms, weights = _merge_close(atoms, weights, 1e-6)
     if mode == CONJUGATE:
         y00 = abs(seq.zero_moment())
         keep = [i for i, w in enumerate(weights) if w >= tol.weight_floor * max(y00, 1e-300)]
@@ -608,18 +577,18 @@ def _certify(seq, report, flat, mode, tol, scale):
     return "rank_preserved_uncertified"
 
 
-def data_hyponormality_min_eig(seq, dk):
-    """Smallest eigenvalue over the data-level hyponormality blocks at gap dk.
-
-    `seq` is a MomentSequence or its MomentTable; every block reads one table.
-    """
+def data_hyponormality_spectra(seq, dk):
+    """{(i, j): ascending eigenvalues} of the data-level hyponormality blocks
+    at gap dk. `seq` is a MomentSequence or its MomentTable, read once."""
     table = MomentTable.of(seq, seq.d)
-    best = np.inf
-    for i, j in variable_pairs(seq.n):
-        block = hyponormality_block(table, dk, i, j).matrix
-        vals, _ = linalg.hermitian_eig((block + block.conj().T) / 2.0, tol=np.inf)
-        best = min(best, float(vals[0]))
-    return best
+    return {(i, j): linalg.hermitian_eig(hyponormality_block(table, dk, i, j).matrix,
+                                         tol=np.inf).values
+            for i, j in variable_pairs(seq.n)}
+
+
+def data_hyponormality_min_eig(seq, dk):
+    """Smallest eigenvalue over the data-level hyponormality blocks at gap dk."""
+    return min(float(vals[0]) for vals in data_hyponormality_spectra(seq, dk).values())
 
 
 def verify_measure(measure, seq):
@@ -671,8 +640,8 @@ def feasibility_report(measure, problem, tol=1e-6, seq=None, dk=None, moment_spe
     if seq is not None:
         dk = problem.d_K if dk is None else dk
         if moment_spectrum is None:
-            mm = moment_matrix(seq, seq.d).matrix
-            moment_spectrum, _ = linalg.hermitian_eig((mm + mm.conj().T) / 2.0, tol=np.inf)
+            moment_spectrum, _ = linalg.hermitian_eig(moment_matrix(seq, seq.d).matrix,
+                                                      tol=np.inf)
         rank_d = linalg.numeric_rank(moment_spectrum, 1e-5)
     for idx, con in enumerate(problem.constraints):
         vals = [float(np.real(con.poly.eval(np.asarray(a)))) for a in measure.atoms]
@@ -685,9 +654,7 @@ def feasibility_report(measure, problem, tol=1e-6, seq=None, dk=None, moment_spe
         if rank_d is not None:
             try:
                 loc = localizing_matrix(seq, con.poly, seq.d - dk + con.poly.k)
-                lvals, _ = linalg.hermitian_eig(
-                    (loc.matrix + loc.matrix.conj().T) / 2.0, tol=np.inf
-                )
+                lvals, _ = linalg.hermitian_eig(loc.matrix, tol=np.inf)
                 expected = rank_d - linalg.numeric_rank(lvals, 1e-5)
             except (MissingMoment, OrderTooSmall):
                 expected = None

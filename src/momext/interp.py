@@ -28,6 +28,7 @@ from .moment import (
     _complexes,
     _count,
     _fmt,
+    _merge_close,
     _read_records,
     _tolerant_order,
     _write_records,
@@ -76,24 +77,18 @@ class ExpSumModel:
     n: int
     terms: list = field(default_factory=list)
 
-    def canonical(self, merge_tol=1e-9, weight_floor=0.0):
-        """Wrap frequencies, merge coincident terms, drop null weights, sort.
+    def canonical(self):
+        """Wrap frequencies, merge coincident terms, drop zero weights, sort.
 
-        Terms sort lexicographically on (re, im) of their frequencies, with
-        entries that differ only by round-off tied.
+        Each term merges into the first earlier term whose frequencies lie
+        within 1e-9 in max-coordinate distance (`moment._merge_close`),
+        adding its weight. Terms sort lexicographically on (re, im) of their
+        frequencies, with entries that differ only by round-off tied.
         """
-        merged = []
-        for term in (t.canonical() for t in self.terms):
-            for other in merged:
-                if max(
-                    abs(a - b) for a, b in zip(term.frequencies, other.frequencies)
-                ) <= merge_tol:
-                    other.weight += term.weight
-                    break
-            else:
-                merged.append(ExpTerm(term.weight, term.frequencies))
-        scale = max((abs(t.weight) for t in merged), default=0.0)
-        merged = [t for t in merged if abs(t.weight) > weight_floor * max(scale, 1e-300)]
+        terms = [t.canonical() for t in self.terms]
+        freqs, weights = _merge_close([t.frequencies for t in terms],
+                                      [t.weight for t in terms], 1e-9)
+        merged = [ExpTerm(w, f) for f, w in zip(freqs, weights) if abs(w) > 0.0]
         order = _tolerant_order(
             [tuple(x for f in t.frequencies for x in (f.real, f.imag)) for t in merged]
         )
@@ -207,8 +202,7 @@ def prony_univariate(samples, tol=1e-8):
     h = np.empty((d + 1, d + 1), dtype=complex)
     for i in range(d + 1):
         h[i] = y[i : i + d + 1]
-    gram = h.conj().T @ h
-    vals, vecs = linalg.hermitian_eig((gram + gram.conj().T) / 2.0, tol=np.inf)
+    vals, vecs = linalg.hermitian_eig(h.conj().T @ h, tol=np.inf)
     scale = max(vals[-1], 1.0)
     # one-dimensional kernel: a lone vanishing eigenvalue well separated
     # from the next one

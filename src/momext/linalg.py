@@ -68,8 +68,9 @@ def hermitian_eig(a, tol=1e-9):
     """Eigendecomposition of a Hermitian matrix by LAPACK (`np.linalg.eigh`).
 
     Returns eigenvalues in ascending order and a unitary matrix of
-    eigenvectors of the Hermitian part (a + a^*)/2. `tol` bounds the
-    accepted Hermitian asymmetry of the input relative to its norm.
+    eigenvectors of the Hermitian part (a + a^*)/2, so callers pass a itself.
+    `tol` bounds the accepted Hermitian asymmetry of the input relative to
+    its norm; np.inf skips the test.
     """
     a = _as_complex_matrix(a)
     n = a.shape[0]
@@ -146,33 +147,34 @@ def cluster_bounds(values, width):
     return bounds
 
 
-def _joint_diag_real_symmetric(r, m, cluster_tol):
-    """Orthogonal O with O^T r O and O^T m O (both) diagonal.
+def _joint_eigh(h, k, cluster_tol):
+    """Unitary P with P^* h P and P^* k P diagonal, for commuting Hermitian h, k.
 
-    Assumes r and m are commuting real symmetric matrices: diagonalize r,
-    then diagonalize m restricted to each eigenvalue cluster of r.
+    Diagonalizes h, then k on each cluster of h's eigenvalues (gaps at most
+    cluster_tol times their spread, at least 1); real h and k give a real P.
     """
-    vals, o = _eigh(r)
+    vals, p = _eigh(h)
     spread = max(vals.max() - vals.min(), 1.0) if vals.size else 1.0
     for i, j in cluster_bounds(vals, cluster_tol * spread):
         if j - i > 1:
-            block = o[:, i:j]
-            sub = block.T @ m @ block
-            sub = (sub + sub.T) / 2.0
-            o[:, i:j] = block @ _eigh(sub)[1]
-    return o
+            block = p[:, i:j]
+            sub = block.conj().T @ k @ block
+            p[:, i:j] = block @ _eigh((sub + sub.conj().T) / 2.0)[1]
+    return p
 
 
-def takagi(s, tol=1e-8, cluster_tol=1e-8):
+def takagi(s, tol=1e-8):
     """Autonne-Takagi factorization S = U diag(values) U^T.
 
-    S must be complex symmetric; U is unitary and the values are the
-    singular values of S in descending order. Built from the LAPACK SVD
-    S = Q diag(sigma) V^*: simple singular values get a per-vector phase
-    correction of their left singular vector, clustered ones get a small
-    complex-symmetric block diagonalized through its commuting real and
-    imaginary parts. (Eigenvectors of S S^* would serve too, but its
-    eigenvalues square the singular values, which loses the small ones.)
+    S is complex symmetric up to `tol` (np.inf skips the test), and its
+    symmetric part is factored, so callers pass S itself. U is unitary and
+    the values are the singular values in descending order. Built from the
+    LAPACK SVD S = Q diag(sigma) V^*: simple singular values get a
+    per-vector phase correction of their left singular vector, clusters
+    (relative width 1e-8) a complex-symmetric block diagonalized by
+    `_joint_eigh` of its real and imaginary parts. (Eigenvectors of S S^*
+    would serve too, but its eigenvalues square the singular values, which
+    loses the small ones.)
     """
     s = _as_complex_matrix(s)
     n = s.shape[0]
@@ -191,10 +193,11 @@ def takagi(s, tol=1e-8, cluster_tol=1e-8):
 
     u = np.zeros((n, n), dtype=complex)
     smax = max(sigma[0], 1.0) if sigma.size else 1.0
+    width = 1e-8 * smax
     # -sigma ascends, and its gaps are exactly those of sigma
-    for i, j in cluster_bounds(-sigma, cluster_tol * smax):
+    for i, j in cluster_bounds(-sigma, width):
         block = q[:, i:j]
-        if sigma[i] <= cluster_tol * smax:
+        if sigma[i] <= width:
             # null cluster: any orthonormal basis works
             u[:, i:j] = block
         elif j - i == 1:
@@ -207,7 +210,7 @@ def takagi(s, tol=1e-8, cluster_tol=1e-8):
         else:
             b = block.conj().T @ s @ block.conj()
             b = (b + b.T) / 2.0
-            o = _joint_diag_real_symmetric(np.real(b), np.imag(b), 1e-10)
+            o = _joint_eigh(np.real(b), np.imag(b), 1e-10)
             d = np.diag(o.T @ b @ o)
             u[:, i:j] = block @ (o * np.exp(0.5j * np.angle(d))[None, :])
 

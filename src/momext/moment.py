@@ -95,6 +95,21 @@ def _tolerant_order(keys, rtol=1e-9):
     return sorted(range(len(keys)), key=functools.cmp_to_key(cmp))
 
 
+def _merge_close(points, weights, tol):
+    """Merge each point into the first earlier kept point within max-coordinate
+    distance tol, adding up their weights; returns the kept (points, weights)."""
+    kept, sums = [], []
+    for point, w in zip(points, weights):
+        for idx, ref in enumerate(kept):
+            if max(abs(a - b) for a, b in zip(point, ref)) <= tol:
+                sums[idx] += w
+                break
+        else:
+            kept.append(point)
+            sums.append(w)
+    return kept, sums
+
+
 class Layout:
     """Graded-lex multi-indices |alpha| <= d over n variables, with shift tables.
 

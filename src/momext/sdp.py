@@ -19,15 +19,16 @@ Statuses: `optimal` (gap and residuals within tolerance), `max_iter` (the
 iteration cap ran out; the iterate of the last step is returned, and the
 last history entry, `gap` and `feasibility` describe it), `stalled` and
 `infeasible_suspected` (inconsistent equality rows, a fully determined
-point outside the blocks, or a solve that ends short of `optimal` with
-max(feas_p, feas_d) above 1e-4, whatever its gap). A stall means no
-further progress is possible: a certificate-side X_j lost definiteness to
-round-off, so X can take no step; a slack could not be factored; three
-steps in a row were tiny; or the iterates overflowed. A stalled solve
-returns the moment side (u and the primal value) of its last finite
-iterate, with the dual bound of the earlier iterate that brackets that
-value most tightly (the smallest max(gap, feas_p)); `gap` and
-`feasibility` describe that pair.
+point outside the blocks, a solve that ends short of `optimal` with
+max(feas_p, feas_d) above 1e-4, whatever its gap, or iterates that run off
+with the residuals below it: mu rises MU_DIVERGED times its start). A
+stall means no further progress is possible: a certificate-side X_j lost
+definiteness to round-off, so X can take no step; a slack could not be
+factored; three steps in a row were tiny; or the iterates overflowed. A
+stalled solve returns the moment side (u and the primal value) of its
+last finite iterate, with the dual bound of the earlier iterate that
+brackets that value most tightly (the smallest max(gap, feas_p)); `gap`
+and `feasibility` describe that pair.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ import numpy as np
 from .errors import NumericalBreakdown
 
 __all__ = ["SolveOptions", "Solution", "solve"]
+
+MU_DIVERGED = 1e8  # no demo or pop_ball solve's mu rises above its start
 
 
 @dataclass(frozen=True)
@@ -248,6 +251,9 @@ def solve(sdp, opts=None):
         moment_side = (u, pobj, feas_d)
         if gap <= opts.gap_tolerance and worst_feas <= opts.feasibility_tolerance:
             status = "optimal"
+            break
+        if mu > MU_DIVERGED * history[0][2] and worst_feas <= 1e-4:
+            status = "infeasible_suspected"  # the residual test below misses it
             break
         if it > opts.max_iterations:
             break

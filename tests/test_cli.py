@@ -344,6 +344,41 @@ class TestErrorMapping:
         code, _ = run(["interpolate", path])
         assert code == 3
 
+    def bad_value(self, capsys, argv, flag):
+        """The command exits 2 with one stderr line naming the flag, and prints nothing."""
+        code, out = run(argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.startswith(f"momext: {argv[0]}: {flag}") and err.count("\n") == 1
+
+    def test_extract_rejects_a_negative_order_and_a_zero_gap(self, capsys):
+        self.bad_value(capsys, ["extract", demo("roots_of_unity.momseq"), "--order", "-1"],
+                       "--order")
+        # a zero gap compares rank M_d with itself: no certificate
+        code, out = run(["extract", demo("roots_of_unity.momseq"), "--gap", "0"])
+        assert code == 5 and "certified" not in out
+        assert capsys.readouterr().err.startswith("momext: OrderTooSmall: ")
+
+    def test_sample_rejects_order_zero(self, capsys):
+        self.bad_value(capsys, ["sample", demo("example7.expsum"), "--order", "0"], "--order")
+
+    def test_check_rejects_a_negative_gap(self, capsys):
+        code, out = run(["check", demo("roots_of_unity.momseq"), "--gap", "-1"])
+        assert (code, out) == (5, "")
+        assert capsys.readouterr().err.startswith("momext: OrderTooSmall: ")
+
+    def test_interpolate_rejects_orders_below_one(self, capsys):
+        model = demo("example7.expsum")
+        self.bad_value(capsys, ["interpolate", "--model", model, "--sample", "0"], "--sample")
+        self.bad_value(capsys, ["interpolate", "--model", model, "--sample", "2",
+                                "--dmax", "0"], "--dmax")
+
+    def test_signal_rejects_missing_ranges_and_negative_counts(self, capsys):
+        model = demo("example7.expsum")  # two variables
+        self.bad_value(capsys, ["signal", model, "--range", "0:9:10"], "need one --range")
+        self.bad_value(capsys, ["signal", model, "--range", "0:9:10", "--range", "0:9:-1"],
+                       "--range count")
+
     def test_codes_documented_in_help(self):
         from momext.cli import build_parser
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from momext.hierarchy import SDPProblem, assemble_relaxation, parse_problem, realify
-from momext.sdp import SolveOptions, _reduced_blocks, _step_lengths, solve
+from momext.sdp import MU_DIVERGED, SolveOptions, _reduced_blocks, _step_lengths, solve
 from paperdata import block_from_dense
 
 
@@ -263,6 +263,17 @@ class TestInfeasibility:
             sol = solve(lmi_problem([blk], [0.0]))
         assert sol.status == "infeasible_suspected"
         assert sol.gap == 0.0 and sol.feasibility > 1e-4
+
+    def test_diverging_iterates_are_flagged(self):
+        # min x s.t. [[x, 1], [1, 0]] >= 0: the determinant is -1 for every x,
+        # yet the residuals shrink as x grows, so only the growth of mu tells
+        blk = block_from_dense("toy", 2, np.array([[0.0, 1.0], [1.0, 0.0]]),
+                               {0: np.diag([1.0, 0.0])})
+        sol = solve(lmi_problem([blk], [1.0]))
+        assert sol.status == "infeasible_suspected"
+        assert sol.iterations < SolveOptions().max_iterations
+        assert sol.history[-1][2] > MU_DIVERGED * sol.history[0][2]
+        assert sol.feasibility < 1e-4  # the residual test alone would not flag it
 
 
 def max_step_reference(ell, dm):

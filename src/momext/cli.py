@@ -51,7 +51,6 @@ EXITS = [
     (10, errors.DegenerateCombination, "random shift combinations stayed degenerate"),
     (11, errors.RankNotStabilized, "Hankel rank never stabilized"),
     (12, errors.AtomAtZero, "recovered node at zero, log undefined"),
-    (13, errors.KernelNotUnidimensional, "Prony kernel not one-dimensional"),
     (14, errors.NotPSD, "matrix not positive semidefinite"),
     (15, errors.NumericalBreakdown, "interior-point numerical breakdown"),
     (16, None, "solver finished without an optimality certificate"),
@@ -61,6 +60,7 @@ EXITS = [
     (20, errors.NoConvergence, "iterative factorization hit its sweep cap"),
     (21, errors.FormatError, "malformed solver output or SDPA text"),
     (22, OSError, "input file unreadable or output file unwritable"),
+    (23, errors.TooManyVariables, "model has more variables than signal output supports"),
     (1, None, "unexpected internal error"),
 ]
 EXIT_CODES = {cls: code for code, cls, _ in EXITS if cls is not None}
@@ -385,6 +385,8 @@ def _parse_range(spec):
 
 def cmd_signal(args):
     model = interp.read_model(args.model)
+    if model.n > 2:  # before the --range count, which could not be met
+        raise errors.TooManyVariables(f"gridded signal output supports n <= 2, got n = {model.n}")
     ranges = [_parse_range(r) for r in args.range]
     if len(ranges) != model.n:
         raise BadCommandLine(f"need one --range per variable ({model.n}), got {len(ranges)}")

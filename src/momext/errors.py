@@ -81,8 +81,8 @@ class AtomAtZero(MomextError):
     """A recovered node is (numerically) zero, so log() is undefined."""
 
 
-class KernelNotUnidimensional(MomextError):
-    """Classical Prony requires a one-dimensional Hankel kernel."""
+class TooManyVariables(MomextError):
+    """Gridded signal output supports models of at most two variables."""
 
 
 # ------------------------------------------------- hierarchy / sdp / io

@@ -71,6 +71,7 @@ CONJUGATE = "conjugate_transpose"
 TRANSPOSE = "transpose"
 
 DIAG_ATTEMPTS = 20  # random combinations simultaneous_diagonalize tries
+WEIGHT_FLOOR = 1e-8  # conjugate-mode atoms lighter than this times y00 are dropped
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,6 @@ class Tolerances:
     shift_tol: float = 1e-6
     hypo_tol: float = 1e-6
     struct_tol: float = 1e-9
-    weight_floor: float = 1e-8
     offdiag_tol: float = 1e-8
 
     @classmethod
@@ -108,7 +108,6 @@ class ShiftFamily:
     mode: str
     r: int
     residual: float  # max relative shift residual over all testable columns
-    basis_labels: list
 
 
 @dataclass
@@ -165,7 +164,6 @@ class HyponormalityCheck:
     min_eig: float
     commutator_norm: float
     passed: bool
-    scale: float
 
 
 @dataclass
@@ -277,13 +275,7 @@ def compute_shifts(x, labels, basis, mode, tol=1e-6):
             f"shift residual {worst:.6e} exceeds {tol:.1e}; the shift operators "
             f"are not well defined on this data"
         )
-    return ShiftFamily(
-        shifts=shifts,
-        mode=mode,
-        r=r,
-        residual=worst,
-        basis_labels=[labels[i] for i in basis],
-    )
+    return ShiftFamily(shifts=shifts, mode=mode, r=r, residual=worst)
 
 
 def operator_hypo_block(*shifts):
@@ -336,7 +328,7 @@ def check_hyponormality(shifts, tol=1e-6):
         min_eig = min(min_eig, float(vals[0]))
     passed = comm <= tol * scale and (n == 1 or min_eig >= -tol * scale)
     return HyponormalityCheck(
-        min_eig=float(min_eig), commutator_norm=float(comm), passed=bool(passed), scale=scale
+        min_eig=float(min_eig), commutator_norm=float(comm), passed=bool(passed)
     )
 
 
@@ -545,7 +537,7 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None, takagis=None
     atoms, weights = _merge_close(atoms, weights, 1e-6)
     if mode == CONJUGATE:
         y00 = abs(seq.zero_moment())
-        keep = [i for i, w in enumerate(weights) if w >= tol.weight_floor * max(y00, 1e-300)]
+        keep = [i for i, w in enumerate(weights) if w >= WEIGHT_FLOOR * max(y00, 1e-300)]
         atoms = [atoms[i] for i in keep]
         weights = [float(weights[i]) for i in keep]
 

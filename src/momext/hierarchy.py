@@ -13,7 +13,6 @@ rewrites the equality rows as paired 1x1 diagonal blocks (SDPA is pure-LMI).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ from .moment import (
     _idx_str,
     _parse_idx,
     _read_records,
-    _write_records,
     hyponormality_grid,
     layout,
     moment_matrix,
@@ -43,7 +41,6 @@ __all__ = [
     "SDPBlock",
     "SDPProblem",
     "parse_problem",
-    "problem_to_text",
     "assemble_relaxation",
     "realify",
     "export_sdpa",
@@ -121,13 +118,6 @@ class RelaxationMap:
     @property
     def n_vars(self):
         return len(self.var_names)
-
-    def expr(self, a, b):
-        """y[a,b] as [(var_index, complex coefficient), ...]."""
-        pos = layout(self.n, self.d).pos
-        p, q = pos[tuple(a)], pos[tuple(b)]
-        return [(int(v), complex(c))
-                for v, c in zip(self.var[p, q], self.coeff[p, q]) if v >= 0]
 
     def sequence_from_values(self, x):
         """Solver vector -> exactly Hermitian paired MomentSequence."""
@@ -282,20 +272,6 @@ def parse_problem(text):
             )
     return PolynomialProblem(n=n, objective=objective, constraints=constraints,
                              real_vars=header["vars"] == "real")
-
-
-def problem_to_text(problem):
-    rows = []
-    sections = [("minimize", problem.objective)]
-    sections += [(f"constraint {con.kind}", con.poly) for con in problem.constraints]
-    for head, poly in sections:
-        rows.append(head)
-        rows += [f"term {_idx_str(a)} {_idx_str(b)} {_fmt(c.real)} {_fmt(c.imag)}"
-                 for (a, b), c in sorted(poly.terms.items())]
-    buf = io.StringIO()
-    _write_records(buf, "pop", {"n": problem.n,
-                                "vars": "real" if problem.real_vars else "complex"}, rows)
-    return buf.getvalue()
 
 
 # -------------------------------------------------------------- relaxation
@@ -475,7 +451,7 @@ def _embed(h):
 # ------------------------------------------------------------- SDPA text
 
 
-def export_sdpa(sdp, comment="momext export"):
+def export_sdpa(sdp):
     """Serialize a realified problem in SDPA sparse format.
 
     Equality rows become paired 1x1 entries inside one diagonal block, since
@@ -489,7 +465,7 @@ def export_sdpa(sdp, comment="momext export"):
     n_eq = sdp.eq_a.shape[0]
     if n_eq:
         sizes.append(-2 * n_eq)
-    lines = [f'"{comment}', f"{m}", f"{len(sizes)}", " ".join(str(s) for s in sizes)]
+    lines = ['"momext export', f"{m}", f"{len(sizes)}", " ".join(str(s) for s in sizes)]
     lines.append(" ".join(map(_fmt, sdp.objective)))
 
     entries = []  # (matno, blkno, i, j, value), 1-based with i <= j

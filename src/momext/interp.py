@@ -4,24 +4,17 @@ A model is a finite sum of terms w_k * exp(<f_k, z>) with complex weights
 and frequency vectors. Sampling it on the integer grid turns interpolation
 into a truncated moment problem in Hankel form; recovery factorizes the
 Hankel moment matrix with the Takagi decomposition and runs the shift
-extraction in transpose mode. A classical univariate Prony implementation
-is kept alongside as an independent cross-check.
+extraction in transpose mode, with no Vandermonde solve.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .errors import (
-    AtomAtZero,
-    KernelNotUnidimensional,
-    ParseError,
-    RankNotStabilized,
-)
+from .errors import AtomAtZero, ParseError, RankNotStabilized, TooManyVariables
 from .extraction import TRANSPOSE, Tolerances, extract_measure
 from .moment import (
     MomentSequence,
@@ -36,16 +29,12 @@ from .moment import (
     hankel_matrix,
 )
 
-log = logging.getLogger(__name__)
-
 __all__ = [
     "ExpTerm",
     "ExpSumModel",
     "eval_expsum",
     "sample_grid",
     "interpolate",
-    "prony_univariate",
-    "damped_sinusoid_to_expsum",
     "emit_signal",
     "write_model",
     "read_model",
@@ -180,86 +169,14 @@ def interpolate(samples, d_max=None, tol=None, seed=0):
     return model, report
 
 
-def prony_univariate(samples, tol=1e-8):
-    """Classical univariate Prony from samples y_0 .. y_{2d}.
-
-    Kernel vector of the Hankel matrix via the smallest eigenvector of
-    H^* H, roots via the companion matrix, weights via the Vandermonde
-    system. Ill conditioning of the Vandermonde solve is logged, not fatal.
-    """
-    if isinstance(samples, MomentSequence):
-        if samples.mode != "hankel" or samples.n != 1:
-            raise ValueError("prony_univariate needs univariate hankel samples")
-        y = np.array(
-            [samples.values[(a,)] for a in range(2 * samples.d + 1)], dtype=complex
-        )
-    else:
-        y = np.asarray(samples, dtype=complex)
-    if y.size < 3 or y.size % 2 == 0:
-        raise ValueError("need an odd number of samples y_0..y_{2d} with d >= 1")
-    d = (y.size - 1) // 2
-
-    h = np.empty((d + 1, d + 1), dtype=complex)
-    for i in range(d + 1):
-        h[i] = y[i : i + d + 1]
-    vals, vecs = linalg.hermitian_eig(h.conj().T @ h, tol=np.inf)
-    scale = max(vals[-1], 1.0)
-    # one-dimensional kernel: a lone vanishing eigenvalue well separated
-    # from the next one
-    if vals.size > 1 and vals[1] <= tol * scale and vals[1] <= 1e4 * max(vals[0], 1e-300):
-        raise KernelNotUnidimensional(
-            f"second smallest eigenvalue {vals[1]:.3e} also vanishes"
-        )
-    p = vecs[:, 0]
-    if abs(p[d]) < 1e-10:
-        raise KernelNotUnidimensional("kernel polynomial is not monic-normalizable")
-    p = p / p[d]
-
-    companion = np.zeros((d, d), dtype=complex)
-    if d > 1:
-        companion[1:, :-1] = np.eye(d - 1)
-    companion[:, -1] = -p[:d]
-    nodes = np.linalg.eigvals(companion)
-
-    vander = np.vander(nodes, N=d, increasing=True).T
-    cond = np.linalg.cond(vander)
-    if cond > 1e10:
-        log.warning("prony: Vandermonde condition %.3e; weights may be inaccurate", cond)
-    weights = np.linalg.solve(vander, y[:d])
-
-    terms = []
-    for node, w in zip(nodes, weights):
-        if abs(node) < 1e-12:
-            raise AtomAtZero(f"node {node} too close to zero for log()")
-        terms.append(ExpTerm(complex(w), (complex(np.log(node)),)))
-    return ExpSumModel(1, terms).canonical()
-
-
-def damped_sinusoid_to_expsum(components):
-    """Convert A * exp(sigma t) * cos(w t + phi) components to a model.
-
-    Each component becomes the conjugate pair (A/2) e^{+i phi} at sigma + i w
-    and (A/2) e^{-i phi} at sigma - i w.
-    """
-    terms = []
-    for comp in components:
-        a = float(comp["A"])
-        sigma = float(comp["sigma"])
-        w = float(comp["w"])
-        phi = float(comp["phi"])
-        terms.append(ExpTerm(0.5 * a * np.exp(1j * phi), (complex(sigma, w),)))
-        terms.append(ExpTerm(0.5 * a * np.exp(-1j * phi), (complex(sigma, -w),)))
-    return ExpSumModel(1, terms).canonical()
-
-
-def emit_signal(model, ranges, which="real", delimiter=","):
-    """Tabulate the model on a real grid as delimiter-separated text.
+def emit_signal(model, ranges, which="real"):
+    """Tabulate the model on a real grid as comma-separated text.
 
     `ranges` is one (start, stop, count) triple per variable (n <= 2).
     `which` selects the real part, imaginary part, or modulus.
     """
     if model.n > 2:
-        raise ValueError("gridded signal output supports n <= 2")
+        raise TooManyVariables(f"gridded signal output supports n <= 2, got n = {model.n}")
     if len(ranges) != model.n:
         raise ValueError(f"need {model.n} range specs, got {len(ranges)}")
     if which not in ("real", "imag", "abs"):
@@ -268,7 +185,7 @@ def emit_signal(model, ranges, which="real", delimiter=","):
     pick = {"real": lambda v: v.real, "imag": lambda v: v.imag, "abs": abs}[which]
 
     names = [f"z{i + 1}" for i in range(model.n)]
-    lines = [delimiter.join(names + [which])]
+    lines = [",".join(names + [which])]
     if model.n == 1:
         points = ((t,) for t in axes[0])
     else:
@@ -276,7 +193,7 @@ def emit_signal(model, ranges, which="real", delimiter=","):
     for pt in points:
         val = pick(eval_expsum(model, pt))
         row = [format(float(c), ".12g") for c in pt] + [format(float(val), ".12g")]
-        lines.append(delimiter.join(row))
+        lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 

@@ -224,7 +224,6 @@ class MomentMatrix:
     matrix: np.ndarray
     row_labels: list
     col_labels: list
-    kind: str  # moment | localizing | hankel | hypoblock
 
 
 @dataclass
@@ -356,8 +355,7 @@ def moment_matrix(seq, d):
     """
     labels = list(layout(seq.n, d).labels)
     every = np.arange(len(labels))
-    kind = "hankel" if seq.mode == "hankel" else "moment"
-    return MomentMatrix(MomentTable.of(seq, d).read(every, every), labels, labels, kind)
+    return MomentMatrix(MomentTable.of(seq, d).read(every, every), labels, labels)
 
 
 def hankel_matrix(seq, d):
@@ -382,7 +380,7 @@ def localizing_matrix(seq, g, d):
     m = np.zeros((len(labels), len(labels)), dtype=complex)
     for (gamma, delta), c in g.terms.items():
         m += c * read(lay.shift(gamma, d - k), lay.shift(delta, d - k))
-    return MomentMatrix(m, labels, labels, "localizing")
+    return MomentMatrix(m, labels, labels)
 
 
 @dataclass
@@ -449,7 +447,7 @@ def hyponormality_block(seq, dk, i, j):
     m = np.block([[read(lay.shift(gamma, h), lay.shift(delta, h)) for gamma, delta in row]
                   for row in grid])
     labels = list(lay.labels[: lay.size(h)]) * len(grid)
-    return MomentMatrix(m, labels, labels, "hypoblock")
+    return MomentMatrix(m, labels, labels)
 
 
 # ----------------------------------------------------------------- file IO

@@ -42,6 +42,7 @@ from .errors import NumericalBreakdown
 __all__ = ["SolveOptions", "Solution", "solve"]
 
 MU_DIVERGED = 1e8  # no demo or pop_ball solve's mu rises above its start
+STEP_DAMPING = 0.98  # fraction of the step to the boundary of the cone
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class SolveOptions:
     max_iterations: int = 100
     gap_tolerance: float = 1e-8
     feasibility_tolerance: float = 1e-8
-    step_damping: float = 0.98
 
     def __post_init__(self):
         for name in ("gap_tolerance", "feasibility_tolerance"):
@@ -57,8 +57,6 @@ class SolveOptions:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
-        if not (0 < self.step_damping < 1):
-            raise ValueError("step damping must be in (0, 1)")
 
 
 @dataclass
@@ -325,7 +323,7 @@ def solve(sdp, opts=None):
         corr = [dx_a[bi] @ dz_a[bi] for bi in range(nb)]
         du, dx, dz = directions(sigma * mu, corr)
         ap, ad = step_lengths(dx, dz)
-        ap, ad = min(opts.step_damping * ap, 1.0), min(opts.step_damping * ad, 1.0)
+        ap, ad = min(STEP_DAMPING * ap, 1.0), min(STEP_DAMPING * ad, 1.0)
         steps.append((float(ap), float(ad), float(sigma), float(reg)))
 
         if max(ap, ad) < 1e-6:

@@ -6,10 +6,17 @@ Hermitian consistency (position (z1^3, z2^3); the printed sign disagrees
 with its mirror image and with the moments of the extracted measure).
 """
 
+import logging
+
 import numpy as np
 
+from momext import linalg
+from momext.errors import AtomAtZero
 from momext.hierarchy import SDPBlock
+from momext.interp import ExpSumModel, ExpTerm
 from momext.moment import MomentSequence, enumerate_indices
+
+log = logging.getLogger(__name__)
 
 
 def seq_from_matrix(m, n, d, mode="paired"):
@@ -281,8 +288,6 @@ EX7_COORDS2 = [1.0392 - 0.2653j, 0.7324 - 0.7541j]
 
 
 def ex7_model():
-    from momext.interp import ExpSumModel, ExpTerm
-
     return ExpSumModel(
         n=2, terms=[ExpTerm(weight=w, frequencies=f) for w, f in EX7_TERMS]
     )
@@ -321,3 +326,56 @@ def block_from_dense(name, size, const, coeffs):
     return SDPBlock(name, size, np.asarray(const), np.concatenate(entry),
                     np.repeat(list(coeffs), [len(e) for e in entry]),
                     np.concatenate([m[e] for m, e in zip(mats, entry)]))
+
+
+def prony_univariate(samples, tol=1e-8):
+    """Classical univariate Prony from samples y_0 .. y_{2d}.
+
+    Kernel vector of the Hankel matrix via the smallest eigenvector of
+    H^* H, roots via the companion matrix, weights via the Vandermonde
+    system. Ill conditioning of the Vandermonde solve is logged, not fatal.
+    """
+    if isinstance(samples, MomentSequence):
+        if samples.mode != "hankel" or samples.n != 1:
+            raise ValueError("prony_univariate needs univariate hankel samples")
+        y = np.array(
+            [samples.values[(a,)] for a in range(2 * samples.d + 1)], dtype=complex
+        )
+    else:
+        y = np.asarray(samples, dtype=complex)
+    if y.size < 3 or y.size % 2 == 0:
+        raise ValueError("need an odd number of samples y_0..y_{2d} with d >= 1")
+    d = (y.size - 1) // 2
+
+    h = np.empty((d + 1, d + 1), dtype=complex)
+    for i in range(d + 1):
+        h[i] = y[i : i + d + 1]
+    vals, vecs = linalg.hermitian_eig(h.conj().T @ h, tol=np.inf)
+    scale = max(vals[-1], 1.0)
+    # one-dimensional kernel: a lone vanishing eigenvalue well separated
+    # from the next one
+    if vals.size > 1 and vals[1] <= tol * scale and vals[1] <= 1e4 * max(vals[0], 1e-300):
+        raise ValueError(f"second smallest eigenvalue {vals[1]:.3e} also vanishes")
+    p = vecs[:, 0]
+    if abs(p[d]) < 1e-10:
+        raise ValueError("kernel polynomial is not monic-normalizable")
+    p = p / p[d]
+
+    companion = np.zeros((d, d), dtype=complex)
+    if d > 1:
+        companion[1:, :-1] = np.eye(d - 1)
+    companion[:, -1] = -p[:d]
+    nodes = np.linalg.eigvals(companion)
+
+    vander = np.vander(nodes, N=d, increasing=True).T
+    cond = np.linalg.cond(vander)
+    if cond > 1e10:
+        log.warning("prony: Vandermonde condition %.3e; weights may be inaccurate", cond)
+    weights = np.linalg.solve(vander, y[:d])
+
+    terms = []
+    for node, w in zip(nodes, weights):
+        if abs(node) < 1e-12:
+            raise AtomAtZero(f"node {node} too close to zero for log()")
+        terms.append(ExpTerm(complex(w), (complex(np.log(node)),)))
+    return ExpSumModel(1, terms).canonical()

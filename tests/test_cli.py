@@ -7,7 +7,7 @@ import pytest
 
 from momext.cli import _parser, build_parser, main
 from momext.extraction import read_measure
-from momext.interp import read_model, write_model
+from momext.interp import ExpSumModel, ExpTerm, read_model, write_model
 from momext.moment import read_sequence, write_sequence
 
 import paperdata as pd
@@ -378,6 +378,29 @@ class TestErrorMapping:
         self.bad_value(capsys, ["signal", model, "--range", "0:9:10"], "need one --range")
         self.bad_value(capsys, ["signal", model, "--range", "0:9:10", "--range", "0:9:-1"],
                        "--range count")
+
+    def test_signal_of_a_trivariate_model_exits_too_many_variables(self, tmp_path, capsys):
+        # the variable count decides before the number of --range options
+        path = str(tmp_path / "three.expsum")
+        write_model(ExpSumModel(3, [ExpTerm(1.0, (0j, 0j, 0j))]), path)
+        for ranges in (1, 3):
+            code, out = run(["signal", path] + ["--range", "0:1:2"] * ranges)
+            assert (code, out) == (23, "")
+            err = capsys.readouterr().err
+            assert err.startswith("momext: TooManyVariables: ") and err.count("\n") == 1
+
+    def test_exit_table_names_each_concrete_error_class_once(self):
+        import inspect
+
+        from momext import errors
+        from momext.cli import EXITS
+
+        concrete = {cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                    if issubclass(cls, errors.MomextError) and not cls.__subclasses__()}
+        named = [cls for _, cls, _ in EXITS if cls is not None]
+        assert len(named) == len(set(named))
+        assert set(named) == concrete | {OSError}
+        assert 13 not in [code for code, _, _ in EXITS]  # retired, not reused
 
     def test_codes_documented_in_help(self):
         from momext.cli import build_parser

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momext import linalg
+from momext import extraction, linalg
 from momext.errors import (
     BasisDegenerate,
     NotFlat,
@@ -170,7 +170,7 @@ class TestSimultaneousDiagonalize:
         fam_shifts = [np.diag([1.0 + 0j, 2.0]), np.diag([3.0 + 0j, -1.0])]
         from momext.extraction import ShiftFamily
 
-        fam = ShiftFamily(fam_shifts, CONJUGATE, 2, 0.0, [])
+        fam = ShiftFamily(fam_shifts, CONJUGATE, 2, 0.0)
         p, coords = simultaneous_diagonalize(fam, seed=0)
         np.testing.assert_allclose(np.abs(p), np.eye(2), atol=1e-10)
         np.testing.assert_allclose(sorted(coords[0].real), [1.0, 2.0], atol=1e-12)
@@ -336,6 +336,13 @@ class TestExtractMeasure:
                 seq = pd.brute_moments_paired(atoms, weights, n=n, d=r)
                 meas, rep = extract_measure(seq, d=r, dk=1, seed=3)
                 _assert_measures_match(meas, atoms, weights, 1e-6)
+
+    def test_atoms_below_the_weight_floor_are_dropped(self, monkeypatch):
+        monkeypatch.setattr(extraction, "WEIGHT_FLOOR", 0.5)  # times y00 = 1
+        seq = pd.brute_moments_paired([(0.5 + 0.5j,), (-0.5 + 0j,)], [0.3, 0.7], n=1, d=2)
+        meas, rep = extract_measure(seq, dk=1)
+        assert rep.atom_count == 1
+        _assert_measures_match(meas, [(-0.5 + 0j,)], [0.7], 1e-9)
 
     def test_seed_invariance(self):
         rng = np.random.default_rng(23)
@@ -575,10 +582,7 @@ class TestMeasureIO:
         np.testing.assert_allclose(back.weights, meas.weights)
 
     def test_empty_measure_round_trip(self, tmp_path):
-        # every atom below the weight floor leaves an empty measure
-        seq = pd.brute_moments_paired([(0.5 + 0.5j,)], [1.0], n=1, d=2)
-        meas, rep = extract_measure(seq, dk=1, tol=Tolerances(weight_floor=2.0))
-        assert meas.atoms == [] and rep.atom_count == 0
+        meas = AtomicMeasure([], [], CONJUGATE)
         path = str(tmp_path / "empty.measure")
         write_measure(meas, path)
         back = read_measure(path)

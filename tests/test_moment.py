@@ -174,7 +174,7 @@ def _keyed(rng, labels, key):
     values = {}
     m = np.array([[values.setdefault(key(a, b), rng.uniform(-1, 1)) for b in labels]
                   for a in labels])
-    return MomentMatrix(m, labels, labels, "moment")
+    return MomentMatrix(m, labels, labels)
 
 
 class TestClassifyStructure:
@@ -198,7 +198,7 @@ class TestClassifyStructure:
         for base in bases:
             for scale in (0.0, 0.6e-3, 1.2e-3):
                 m = MomentMatrix(base.matrix + scale * rng.uniform(-1, 1, base.matrix.shape),
-                                 base.row_labels, base.col_labels, base.kind)
+                                 base.row_labels, base.col_labels)
                 flags = classify_structure(m, tol=1e-3)
                 assert [flags.hankel, flags.toeplitz] == _first_of_key_reference(m, 1e-3)
 

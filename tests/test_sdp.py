@@ -114,8 +114,6 @@ class TestOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolveOptions(gap_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolveOptions(step_damping=1.5)
 
     def test_requires_realified(self):
         blk = block_from_dense("b", 1, np.array([[1.0 + 0j]]), {0: np.array([[1.0 + 0j]])})

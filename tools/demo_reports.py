@@ -6,7 +6,8 @@ sequence, and `export-sdpa` of the torus, the ellipse, the enforced reduced
 ellipse and the enforced triangle, and `sample`, `interpolate --model` and
 `signal` of Example 7, all with `--format structured --seed 0`.
 Each report is preceded by its command line and followed by its exit code
-and anything written to stderr.
+and anything written to stderr. The last report is the exit-code table
+that `momext --help` ends with.
 
 Usage, from the root of a checkout:
 
@@ -120,6 +121,7 @@ def main(argv=None):
         sys.stdout.write(f"--- exit {code}\n")
         if err.getvalue():
             sys.stdout.write(f"--- stderr\n{err.getvalue()}")
+    sys.stdout.write(f"=== momext --help\n{cli.EXIT_HELP}")
     return 0
 
 

@@ -325,13 +325,13 @@ def _bounds_ball(poly, n):
 def cmd_interpolate(args):
     tol = _tolerances(args)
     if args.model:
-        model = interp.read_model(args.model)
         if args.sample is None:
-            raise errors.ParseError("--model needs --sample ORDER to generate a grid")
+            raise BadCommandLine("--model needs --sample ORDER to generate a grid")
+        model = interp.read_model(args.model)
         samples = interp.sample_grid(model, _at_least(args.sample, "--sample", 1))
     else:
         if not args.samples:
-            raise errors.ParseError("need a samples file or --model/--sample")
+            raise BadCommandLine("need a samples file or --model/--sample")
         samples = read_sequence(args.samples)
         if samples.mode != "hankel":
             raise errors.ParseError(

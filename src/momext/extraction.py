@@ -28,7 +28,6 @@ from .errors import (
     ShiftInconsistent,
 )
 from .moment import (
-    MomentTable,
     _choice,
     _complexes,
     _fmt,
@@ -422,8 +421,8 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None, takagis=None
 
     A caller that already holds the Takagi factorizations of H_0(y) ..
     H_d(y) of Hankel data in transpose mode passes them as `takagis`; they
-    then give every rank and the factor. Every step reads y through one
-    MomentTable, built at the start of the call and dropped at its end.
+    then give every rank and the factor. Every step gathers y from the one
+    array of `seq`.
 
     Returns (AtomicMeasure, ExtractionReport); raises an ExtractionError
     subclass (carrying the partial report) when the data does not admit the
@@ -437,8 +436,7 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None, takagis=None
         raise ValueError(f"unknown mode {mode!r}")
 
     report = ExtractionReport(d=d, dk=dk, mode=mode)
-    table = MomentTable(seq, max(d, seq.d))  # y, read once for every step below
-    mm = moment_matrix(table, d)
+    mm = moment_matrix(seq, d)
     report.structure = classify_structure(mm, tol.struct_tol)
 
     # the one eigendecomposition of M_d: rank at order d of paired data,
@@ -543,10 +541,10 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None, takagis=None
 
     measure = AtomicMeasure(atoms, weights, mode).sorted()
     report.atom_count = len(measure.atoms)
-    report.reconstruction_residual = verify_measure(measure, table)
+    report.reconstruction_residual = verify_measure(measure, seq)
 
     scale = max(1.0, float(np.abs(eig.values).max()))  # ||M_d||_2
-    report.certification = _certify(table, report, flat, mode, tol, scale)
+    report.certification = _certify(seq, report, flat, mode, tol, scale)
     return measure, report
 
 
@@ -571,9 +569,8 @@ def _certify(seq, report, flat, mode, tol, scale):
 
 def data_hyponormality_spectra(seq, dk):
     """{(i, j): ascending eigenvalues} of the data-level hyponormality blocks
-    at gap dk. `seq` is a MomentSequence or its MomentTable, read once."""
-    table = MomentTable.of(seq, seq.d)
-    return {(i, j): linalg.hermitian_eig(hyponormality_block(table, dk, i, j).matrix,
+    at gap dk."""
+    return {(i, j): linalg.hermitian_eig(hyponormality_block(seq, dk, i, j).matrix,
                                          tol=np.inf).values
             for i, j in variable_pairs(seq.n)}
 
@@ -586,12 +583,10 @@ def data_hyponormality_min_eig(seq, dk):
 def verify_measure(measure, seq):
     """Worst absolute moment-reconstruction error of a measure against data.
 
-    `seq` is a MomentSequence or its MomentTable; keys beyond its order are
-    not compared. One Vandermonde-style product: the atoms raised to every
-    label's exponents, gathered for every key, times the weights.
+    One Vandermonde-style product: the atoms raised to every label's
+    exponents, gathered for every key of `seq`, times the weights.
     """
-    table = MomentTable.of(seq, seq.d)
-    slots = np.flatnonzero(table.present)
+    slots = np.flatnonzero(seq.present)
     if not slots.size:
         return 0.0
     atoms = np.asarray(measure.atoms, dtype=complex).reshape(-1, seq.n)
@@ -601,12 +596,13 @@ def verify_measure(measure, seq):
         exps = np.array(lay.labels)
         return np.prod(z[None, :, :] ** exps[:, None, :], axis=2)
 
-    if table.mode == "paired":
-        rows, cols = np.divmod(slots, len(table.layout.labels))
-        basis = powers(atoms.conj(), table.layout)[rows] * powers(atoms, table.layout)[cols]
+    if seq.mode == "paired":
+        lay = layout(seq.n, seq.d)
+        rows, cols = np.divmod(slots, len(lay.labels))
+        basis = powers(atoms.conj(), lay)[rows] * powers(atoms, lay)[cols]
     else:
-        basis = powers(atoms, table.slot_layout)[slots]
-    return float(np.abs(basis @ weights - table.values[slots]).max())
+        basis = powers(atoms, layout(seq.n, 2 * seq.d))[slots]
+    return float(np.abs(basis @ weights - seq.array[slots]).max())
 
 
 @dataclass

@@ -28,7 +28,6 @@ __all__ = [
     "Layout",
     "layout",
     "MomentSequence",
-    "MomentTable",
     "MomentMatrix",
     "HermitianPoly",
     "StructureFlags",
@@ -178,10 +177,17 @@ def hyponormality_grid(n, i, j):
 
 @dataclass
 class MomentSequence:
-    """Truncated moment data y over C^n.
+    """Truncated moment data y over C^n, read-only once built.
 
     mode 'paired': values keyed by (alpha, beta), covering |alpha|,|beta| <= d.
     mode 'hankel': values keyed by alpha, covering |alpha| <= 2d.
+
+    Construction copies `values` into a read-only mapping and, in one pass,
+    into `array`: slot p * N + q holds y[labels[p], labels[q]] of
+    layout(n, d) (N labels) for paired data, slot k holds y[labels[k]] of
+    layout(n, 2d) for Hankel data. `present` marks the slots whose key was
+    given. A key beyond order d raises ValueError. Graded-lex labels make
+    the matrices of every order gathers from `array` through `read`.
     """
 
     n: int
@@ -192,6 +198,21 @@ class MomentSequence:
     def __post_init__(self):
         if self.mode not in ("paired", "hankel"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        paired = self.mode == "paired"
+        pos = layout(self.n, self.d if paired else 2 * self.d).pos
+        size = len(pos)
+        self.values = types.MappingProxyType(dict(self.values))
+        try:
+            slots = ([pos[a] * size + pos[b] for a, b in self.values] if paired
+                     else [pos[key] for key in self.values])
+        except KeyError as exc:
+            raise ValueError(f"{self.mode} key index {exc.args[0]} is beyond "
+                             f"order d = {self.d}") from None
+        self.array = np.zeros(size * size if paired else size, dtype=complex)
+        self.array[slots] = list(self.values.values())
+        self.present = np.zeros(self.array.size, dtype=bool)
+        self.present[slots] = True
+        self.array.flags.writeable = self.present.flags.writeable = False
 
     def get(self, alpha, beta):
         """y_{alpha,beta}; in hankel mode this is y_{alpha+beta}."""
@@ -203,6 +224,29 @@ class MomentSequence:
             return complex(self.values[key])
         except KeyError:
             raise MissingMoment(key) from None
+
+    def read(self, rows, cols, order):
+        """y[labels[rows[i]], labels[cols[j]]], or y[labels[rows[i]] + labels[cols[j]]].
+
+        `rows` and `cols` are positions in layout(n, order). The first key,
+        in row-major order, that is absent or beyond order d raises
+        MissingMoment.
+        """
+        if self.mode == "paired":
+            size = index_count(self.n, self.d)
+            slots = rows[:, None] * size + cols
+            beyond = (rows[:, None] >= size) | (cols >= size)
+        else:
+            slots = layout(self.n, order).sums[np.ix_(rows, cols)]
+            beyond = slots >= self.array.size
+        slots = np.where(beyond, 0, slots)
+        missing = beyond | ~self.present[slots]
+        if missing.any():
+            i, j = divmod(int(np.argmax(missing)), len(cols))
+            labels = layout(self.n, order).labels
+            a, b = labels[rows[i]], labels[cols[j]]
+            raise MissingMoment((a, b) if self.mode == "paired" else index_add(a, b))
+        return self.array[slots]
 
     def zero_moment(self):
         origin = (0,) * self.n
@@ -283,79 +327,11 @@ class HermitianPoly:
         return acc
 
 
-class MomentTable:
-    """The values of a MomentSequence over layout(n, order), read in one pass.
-
-    Slot p * N + q of `values` holds y[labels[p], labels[q]] for paired
-    data (N labels); slot k holds y[labels[k]] of layout(n, 2 * order) for
-    Hankel data. `present` marks the slots whose key the sequence holds;
-    keys beyond the layout are left out. Graded-lex labels make the
-    matrices of every order t <= order gathers from one table. The table is
-    a copy that does not see later changes to the sequence: build it for
-    one computation and drop it after.
-    """
-
-    def __init__(self, seq, order=None):
-        self.n, self.d, self.mode = seq.n, seq.d, seq.mode
-        self.order = seq.d if order is None else order
-        self.layout = layout(seq.n, self.order)
-        if seq.mode == "paired":
-            pos, size = self.layout.pos, len(self.layout.labels)
-            found = [(pos.get(a), pos.get(b), v) for (a, b), v in seq.values.items()]
-            found = [(p * size + q, v) for p, q, v in found if p is not None and q is not None]
-            self.index = np.arange(size * size).reshape(size, size)
-            slot_count = size * size
-        else:
-            pos, slot_count = self.slot_layout.pos, len(self.slot_layout.labels)
-            found = [(pos.get(a), v) for a, v in seq.values.items()]
-            found = [(k, v) for k, v in found if k is not None]
-            self.index = self.layout.sums
-        slots = np.array([k for k, _ in found], dtype=np.intp)
-        self.values = np.zeros(slot_count, dtype=complex)
-        self.values[slots] = [v for _, v in found]
-        self.present = np.zeros(slot_count, dtype=bool)
-        self.present[slots] = True
-
-    @classmethod
-    def of(cls, seq, order):
-        """`seq` itself when it is a table covering `order`, else the table of seq."""
-        if not isinstance(seq, cls):
-            return cls(seq, order)
-        if seq.order < order:
-            raise ValueError(f"a table of order {seq.order} cannot serve order {order}")
-        return seq
-
-    @property
-    def slot_layout(self):
-        """The layout of the keys of Hankel data, layout(n, 2 * order)."""
-        return layout(self.n, 2 * self.order)
-
-    def read(self, rows, cols):
-        """y[labels[rows[i]], labels[cols[j]]], or y[labels[rows[i]] + labels[cols[j]]].
-
-        `rows` and `cols` are positions of labels of order at most `order`.
-        The first absent key in row-major order raises MissingMoment.
-        """
-        slots = self.index[np.ix_(rows, cols)]
-        missing = ~self.present[slots]
-        if missing.any():
-            slot = int(slots.flat[np.argmax(missing)])
-            if self.mode == "paired":
-                p, q = divmod(slot, len(self.layout.labels))
-                raise MissingMoment((self.layout.labels[p], self.layout.labels[q]))
-            raise MissingMoment(self.slot_layout.labels[slot])
-        return self.values[slots]
-
-
 def moment_matrix(seq, d):
-    """M_d(y): entry (alpha, beta) = y_{alpha,beta} (or y_{alpha+beta}).
-
-    Like every builder here, it reads `seq`, a MomentSequence, through a
-    MomentTable built for the call, or through the table passed in its place.
-    """
+    """M_d(y): entry (alpha, beta) = y_{alpha,beta} (or y_{alpha+beta})."""
     labels = list(layout(seq.n, d).labels)
     every = np.arange(len(labels))
-    return MomentMatrix(MomentTable.of(seq, d).read(every, every), labels, labels)
+    return MomentMatrix(seq.read(every, every, d), labels, labels)
 
 
 def hankel_matrix(seq, d):
@@ -375,11 +351,10 @@ def localizing_matrix(seq, g, d):
     if d < k:
         raise OrderTooSmall(f"localizing matrix needs d >= {k}, got d={d}")
     lay = layout(seq.n, d)
-    read = MomentTable.of(seq, d).read
     labels = list(lay.labels[: lay.size(d - k)])
     m = np.zeros((len(labels), len(labels)), dtype=complex)
     for (gamma, delta), c in g.terms.items():
-        m += c * read(lay.shift(gamma, d - k), lay.shift(delta, d - k))
+        m += c * seq.read(lay.shift(gamma, d - k), lay.shift(delta, d - k), d)
     return MomentMatrix(m, labels, labels)
 
 
@@ -443,9 +418,8 @@ def hyponormality_block(seq, dk, i, j):
         raise OrderTooSmall(f"gap dk={dk} exceeds data order d={seq.d}")
     grid = hyponormality_grid(seq.n, i, j)
     lay = layout(seq.n, seq.d)
-    read = MomentTable.of(seq, seq.d).read
-    m = np.block([[read(lay.shift(gamma, h), lay.shift(delta, h)) for gamma, delta in row]
-                  for row in grid])
+    m = np.block([[seq.read(lay.shift(gamma, h), lay.shift(delta, h), seq.d)
+                   for gamma, delta in row] for row in grid])
     labels = list(lay.labels[: lay.size(h)]) * len(grid)
     return MomentMatrix(m, labels, labels)
 

@@ -373,6 +373,10 @@ class TestErrorMapping:
         self.bad_value(capsys, ["interpolate", "--model", model, "--sample", "2",
                                 "--dmax", "0"], "--dmax")
 
+    def test_interpolate_without_its_input_exits_bad_command_line(self, capsys):
+        self.bad_value(capsys, ["interpolate", "--model", demo("example7.expsum")], "--model")
+        self.bad_value(capsys, ["interpolate"], "need a samples file")
+
     def test_signal_rejects_missing_ranges_and_negative_counts(self, capsys):
         model = demo("example7.expsum")  # two variables
         self.bad_value(capsys, ["signal", model, "--range", "0:9:10"], "need one --range")

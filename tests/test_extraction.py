@@ -27,7 +27,6 @@ from momext.extraction import (
 )
 from momext.moment import (
     MomentSequence,
-    MomentTable,
     enumerate_indices,
     index_count,
     moment_matrix,
@@ -208,38 +207,6 @@ class TestExtractMeasure:
         assert rep.certification == "certified"
         assert sizes.count(10) == 1
 
-    def test_one_table_of_the_moments(self, monkeypatch):
-        # M_3, the three data hyponormality blocks and the reconstruction
-        # check of an n = 3 extraction all read y through one table
-        rng = np.random.default_rng(5)
-        atoms = [tuple(rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)) for _ in range(3)]
-        seq = pd.brute_moments_paired(atoms, [0.4, 0.7, 1.1], n=3, d=3)
-        built = []
-        original = MomentTable.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(args)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(MomentTable, "__init__", counting)
-        meas, rep = extract_measure(seq, dk=1)
-        assert len(meas.atoms) == 3 and rep.certification == "certified"
-        assert rep.data_hypo_min_eig is not None  # the blocks were built
-        assert len(built) == 1
-
-    def test_a_changed_sequence_is_read_anew(self):
-        first = pd.brute_moments_paired([(0.5 + 0.5j,), (-0.3j,)], [1.0, 0.5], n=1, d=2)
-        second = pd.brute_moments_paired([(0.2 - 0.4j,), (0.7,)], [0.8, 0.3], n=1, d=2)
-        seq = MomentSequence(n=1, d=2, mode="paired", values=dict(first.values))
-        extract_measure(seq, dk=1)
-        seq.values.update(second.values)
-        np.testing.assert_array_equal(moment_matrix(seq, 2).matrix,
-                                      moment_matrix(second, 2).matrix)
-        meas, rep = extract_measure(seq, dk=1)
-        want, _ = extract_measure(second, dk=1)
-        assert meas.atoms == want.atoms and meas.weights == want.weights
-        assert rep.reconstruction_residual <= 1e-12
-
     def test_one_takagi_of_the_hankel_matrix_in_transpose_mode(self, monkeypatch):
         # H_2 is 6x6 for n = 2: its Takagi factorization gives both the rank
         # at order 2 and the factor
@@ -261,8 +228,10 @@ class TestExtractMeasure:
     def test_nonhermitian_moment_matrix_rejected(self):
         # one off-diagonal moment nudged without its mirror: the ranks of the
         # Hermitian part ignore it at this rank_tol, the root factor must not
-        seq = pd.brute_moments_paired([(0.5 + 0.5j,)], [1.0], n=1, d=2)
-        seq.values[((0,), (1,))] += 1e-4
+        exact = pd.brute_moments_paired([(0.5 + 0.5j,)], [1.0], n=1, d=2)
+        values = dict(exact.values)
+        values[((0,), (1,))] += 1e-4
+        seq = MomentSequence(n=1, d=2, mode="paired", values=values)
         with pytest.raises(NotHermitian):
             extract_measure(seq, dk=1, tol=Tolerances(rank_tol=1e-2))
 

@@ -8,7 +8,6 @@ from momext.moment import (
     HermitianPoly,
     MomentMatrix,
     MomentSequence,
-    MomentTable,
     classify_structure,
     enumerate_indices,
     hankel_matrix,
@@ -287,24 +286,19 @@ def _random_sequence(rng, n, d, mode):
 
 
 class TestGathersMatchBruteForce:
-    """moment, localizing and hyponormality matrices against seq.get loops.
-
-    Every order t <= d, each read both from the sequence and through one
-    MomentTable of it.
-    """
+    """moment, localizing and hyponormality matrices against seq.get loops,
+    for every order t <= d."""
 
     @pytest.mark.parametrize("mode", ["paired", "hankel"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_matrix(self, n, mode):
         d = 3
         seq = _random_sequence(np.random.default_rng(10 + n), n, d, mode)
-        table = MomentTable(seq)
         g = _multi_term_poly(n)
         for t in range(d + 1):
             labels = enumerate_indices(n, t)
             ref = np.array([[seq.get(a, b) for b in labels] for a in labels])
-            for source in (seq, table):
-                np.testing.assert_array_equal(moment_matrix(source, t).matrix, ref)
+            np.testing.assert_array_equal(moment_matrix(seq, t).matrix, ref)
             if t < g.k:
                 continue
             small = enumerate_indices(n, t - g.k)
@@ -313,9 +307,8 @@ class TestGathersMatchBruteForce:
                 for i, a in enumerate(small):
                     for j, b in enumerate(small):
                         ref[i, j] += c * seq.get(index_add(a, gamma), index_add(b, delta))
-            for source in (seq, table):
-                np.testing.assert_allclose(localizing_matrix(source, g, t).matrix, ref,
-                                           rtol=0, atol=1e-13)
+            np.testing.assert_allclose(localizing_matrix(seq, g, t).matrix, ref,
+                                       rtol=0, atol=1e-13)
 
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
         for dk in range(1, d + 1):  # blocks of every order d - dk < d
@@ -328,45 +321,67 @@ class TestGathersMatchBruteForce:
                      for gamma in shifts for b in sub]
                     for delta in shifts for a in sub
                 ])
-                for source in (seq, table):
-                    blk = hyponormality_block(source, dk, i, j)
-                    np.testing.assert_array_equal(blk.matrix, ref)
-                    assert blk.row_labels == sub * len(shifts)
+                blk = hyponormality_block(seq, dk, i, j)
+                np.testing.assert_array_equal(blk.matrix, ref)
+                assert blk.row_labels == sub * len(shifts)
 
     @pytest.mark.parametrize("mode", ["paired", "hankel"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_first_absent_key_in_row_major_order_is_raised(self, n, mode):
         d = 2
         rng = np.random.default_rng(20 + n)
-        seq = _random_sequence(rng, n, d, mode)
-        keys = sorted(seq.values)
-        for k in rng.choice(len(keys), 3, replace=False):
-            del seq.values[keys[k]]
+        full = _random_sequence(rng, n, d, mode)
+        keys = sorted(full.values)
+        dropped = {keys[k] for k in rng.choice(len(keys), 3, replace=False)}
+        seq = MomentSequence(n=n, d=d, mode=mode, values={
+            key: v for key, v in full.values.items() if key not in dropped})
         labels = enumerate_indices(n, d)
         wanted = [(a, b) if mode == "paired" else index_add(a, b)
                   for a in labels for b in labels]
         first = next(key for key in wanted if key not in seq.values)
-        for source in (seq, MomentTable(seq)):
-            with pytest.raises(MissingMoment) as exc:
-                moment_matrix(source, d)
-            assert exc.value.key == first
+        with pytest.raises(MissingMoment) as exc:
+            moment_matrix(seq, d)
+        assert exc.value.key == first
 
-    def test_a_table_serves_no_order_above_its_own(self):
-        seq = _random_sequence(np.random.default_rng(3), 2, 3, "paired")
+    @pytest.mark.parametrize("mode", ["paired", "hankel"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_first_key_beyond_the_order_is_raised(self, n, mode):
+        d = 2
+        seq = _random_sequence(np.random.default_rng(30 + n), n, d, mode)
+        labels = enumerate_indices(n, d + 1)
+        wanted = [(a, b) if mode == "paired" else index_add(a, b)
+                  for a in labels for b in labels]
+        first = next(key for key in wanted if key not in seq.values)
+        with pytest.raises(MissingMoment) as exc:
+            moment_matrix(seq, d + 1)
+        assert exc.value.key == first
+
+
+class TestReadOnlyStore:
+    @pytest.mark.parametrize("mode", ["paired", "hankel"])
+    def test_values_cannot_be_assigned(self, mode):
+        seq = _random_sequence(np.random.default_rng(5), 2, 2, mode)
+        key = next(iter(seq.values))
+        with pytest.raises(TypeError):
+            seq.values[key] = 0.0
+        with pytest.raises(TypeError):
+            del seq.values[key]
+
+    def test_values_are_copied_from_the_given_dict(self):
+        values = {((0,), (0,)): 1.0}
+        seq = MomentSequence(n=1, d=1, mode="paired", values=values)
+        values[((0,), (0,))] = 2.0
+        assert seq.values[((0,), (0,))] == 1.0
+        assert moment_matrix(seq, 0).matrix[0, 0] == 1.0
+
+    @pytest.mark.parametrize("mode, key", [
+        ("paired", ((2,), (0,))),
+        ("paired", ((0,), (2,))),
+        ("hankel", (3,)),
+    ])
+    def test_a_key_beyond_the_order_raises(self, mode, key):
         with pytest.raises(ValueError):
-            moment_matrix(MomentTable(seq, 2), 3)
-
-    def test_builders_read_the_current_values(self):
-        # no table outlives its call: a changed sequence is read anew
-        seq = _random_sequence(np.random.default_rng(4), 2, 2, "paired")
-        before = moment_matrix(seq, 2).matrix
-        key = ((1, 0), (0, 1))
-        seq.values[key] += 0.5
-        after = moment_matrix(seq, 2).matrix
-        p, q = enumerate_indices(2, 2).index(key[0]), enumerate_indices(2, 2).index(key[1])
-        assert after[p, q] == before[p, q] + 0.5
-        after[p, q] = before[p, q]
-        np.testing.assert_array_equal(after, before)
+            MomentSequence(n=1, d=1, mode=mode, values={key: 1.0})
 
 
 class TestSequenceIO:

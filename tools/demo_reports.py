@@ -1,10 +1,13 @@
 """Print the structured CLI reports of every demo, for byte-for-byte comparison.
 
 Runs, in one process, every demo `solve` (plus the enforced triangle),
-`check --gap 1` and `check --gap 3` and `extract` of the roots-of-unity
-sequence, and `export-sdpa` of the torus, the ellipse, the enforced reduced
-ellipse and the enforced triangle, and `sample`, `interpolate --model` and
-`signal` of Example 7, all with `--format structured --seed 0`.
+`check --gap 1` and `check --gap 3` of the roots-of-unity sequence, its
+`extract --gap 3` and `extract --order 4` (an order above the file's,
+which exits with the first missing moment), `export-sdpa` of the torus,
+the ellipse, the enforced reduced ellipse and the enforced triangle, and
+`sample`, `interpolate --model` and `signal` of Example 7, plus
+`interpolate` without `--sample` and without any input (both exit as a
+bad command line), all with `--format structured --seed 0`.
 Each report is preceded by its command line and followed by its exit code
 and anything written to stderr. The last report is the exit-code table
 that `momext --help` ends with.
@@ -55,12 +58,15 @@ COMMANDS = [
     ["check", MOMSEQ, "--gap", "1"],
     ["check", MOMSEQ, "--gap", "3"],
     ["extract", MOMSEQ, "--gap", "3"],
+    ["extract", MOMSEQ, "--order", "4"],
     ["export-sdpa", "demo/torus.pop", "--order", "3"],
     ["export-sdpa", "demo/ellipse.pop", "--order", "3"],
     ["export-sdpa", "demo/ellipse_reduced.pop", "--order", "2", "--enforce-hypo"],
     ["export-sdpa", "demo/triangle.pop", "--order", "3", "--enforce-hypo"],
     ["sample", EXPSUM, "--order", "2"],
     ["interpolate", "--model", EXPSUM, "--sample", "2"],
+    ["interpolate", "--model", EXPSUM],
+    ["interpolate"],
     ["signal", EXPSUM, "--range", "0:3:4", "--range", "0:3:4"],
 ]
 

@@ -15,9 +15,7 @@ import functools
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from . import errors, hierarchy, interp, linalg, sdp
+from . import errors, hierarchy, interp, sdp
 from .extraction import (
     CONJUGATE,
     TRANSPOSE,
@@ -115,7 +113,10 @@ def _tolerances(args):
     base = Tolerances.printed() if args.tol_preset == "printed" else Tolerances()
     names = ("rank_tol", "psd_tol", "shift_tol", "hypo_tol")
     flags = {name: getattr(args, f"{name}_flag") for name in names}
-    return replace(base, **{name: value for name, value in flags.items() if value is not None})
+    try:
+        return replace(base, **{name: value for name, value in flags.items() if value is not None})
+    except ValueError as exc:
+        raise BadCommandLine(f"bad tolerance option: {exc}") from None
 
 
 def _add_common(p):
@@ -124,6 +125,10 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output artifact path")
     p.add_argument("--seed", type=int, default=0,
                    help="PRNG seed for the random shift combination (default 0)")
+
+
+def _add_tolerances(p):
+    """The threshold options of the commands that extract (read by `_tolerances`)."""
     p.add_argument("--tol-preset", choices=("default", "printed"), default="default",
                    help="'printed' loosens thresholds for 4-decimal transcribed data")
     p.add_argument("--rank-tol", dest="rank_tol_flag", type=float, default=None)
@@ -230,13 +235,11 @@ def cmd_check(args):
     rep.add("structure.hermitian", flags.hermitian)
     rep.add("structure.hankel", flags.hankel)
     rep.add("structure.toeplitz", flags.toeplitz)
-    vals, _ = linalg.hermitian_eig(mm.matrix, tol=np.inf)
-    flat = check_flatness(seq, seq.d, args.gap, tol.rank_tol, matrix=mm.matrix,
-                          values=vals if seq.mode == "paired" else None)
+    flat = check_flatness(seq, seq.d, args.gap, tol.rank_tol)
     rep.add("ranks", flat.ranks)
     rep.add("flat_step1", flat.flat_1)
     rep.add("flat_gap", flat.flat_dk)
-    rep.add("moment_spectrum", [float(v) for v in vals])
+    rep.add("moment_spectrum", [float(v) for v in seq.eig(seq.d).values])
     if seq.mode == "paired" and seq.d - args.gap >= 0:
         spectra = data_hyponormality_spectra(seq, args.gap)
         for (i, j), bvals in spectra.items():
@@ -289,8 +292,7 @@ def cmd_solve(args):
     _report_extraction(rep, report)
     if not ball:
         rep.add("note", "no ball constraint detected; shift boundedness not guaranteed a priori")
-    feats = feasibility_report(measure, problem, tol=1e-5,
-                               seq=seq, dk=problem.d_K, moment_spectrum=report.moment_spectrum)
+    feats = feasibility_report(measure, problem, tol=1e-5, seq=seq, dk=problem.d_K)
     for row in feats:
         rep.add(
             f"feasibility.constraint{row.index}",
@@ -324,6 +326,8 @@ def _bounds_ball(poly, n):
 
 def cmd_interpolate(args):
     tol = _tolerances(args)
+    if args.model and args.samples:
+        raise BadCommandLine("give a samples file or --model, not both")
     if args.model:
         if args.sample is None:
             raise BadCommandLine("--model needs --sample ORDER to generate a grid")
@@ -433,12 +437,14 @@ def build_parser():
     p.add_argument("--gap", type=int, default=1, help="certification gap dK (default 1)")
     p.add_argument("--mode", choices=("auto", "conjugate", "transpose"), default="auto")
     _add_common(p)
+    _add_tolerances(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("check", help="read-only diagnostics of a moment-sequence file")
     p.add_argument("sequence")
     p.add_argument("--gap", type=int, default=1)
     _add_common(p)
+    _add_tolerances(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="relax, solve and extract from a problem file")
@@ -450,6 +456,7 @@ def build_parser():
     p.add_argument("--gap-tol", type=float, default=1e-8)
     p.add_argument("--feas-tol", type=float, default=1e-8)
     _add_common(p)
+    _add_tolerances(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("interpolate", help="recover an exponential-sum model from samples")
@@ -458,6 +465,7 @@ def build_parser():
     p.add_argument("--sample", type=int, default=None, help="sampling order used with --model")
     p.add_argument("--dmax", type=int, default=None)
     _add_common(p)
+    _add_tolerances(p)
     p.set_defaults(func=cmd_interpolate)
 
     p = sub.add_parser("sample", help="sample a model on the integer grid")

@@ -7,6 +7,7 @@ simultaneously diagonalize, and read atoms and weights off the diagonal.
 
 `bullet` is the conjugate transpose for optimization data and the plain
 transpose for interpolation data; real optimization data satisfies both.
+The sequence keeps every decomposition of M_t(y) that ranks and factors read.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .moment import (
     classify_structure,
     hyponormality_block,
     hyponormality_grid,
-    index_count,
     layout,
     localizing_matrix,
     moment_matrix,
@@ -88,6 +88,11 @@ class Tolerances:
     hypo_tol: float = 1e-6
     struct_tol: float = 1e-9
     offdiag_tol: float = 1e-8
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not 0 < value < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @classmethod
     def printed(cls):
@@ -175,7 +180,6 @@ class ExtractionReport:
     flat_dk: bool = False
     rank: int = 0
     min_moment_eig: float = 0.0
-    moment_spectrum: object = None  # eigenvalues of the Hermitian part of M_d, ascending
     structure: object = None
     hypo_min_eig: float | None = None
     hypo_commutator: float | None = None
@@ -188,14 +192,12 @@ class ExtractionReport:
     notes: list = field(default_factory=list)
 
 
-def check_flatness(seq, d=None, dk=1, tol=1e-7, matrix=None, values=None, leading=None):
+def check_flatness(seq, d=None, dk=1, tol=1e-7):
     """Ranks of the nested moment matrices M_0(y) .. M_d(y).
 
-    Paired (Hermitian) data is ranked through its eigenvalues; Hankel data
-    is complex symmetric, so its rank comes from the singular values. A
-    caller that already holds M_d(y) passes it as `matrix`, and the values
-    that rank it (eigenvalues of its Hermitian part, or singular values for
-    Hankel data) as `values`, and those of M_0 .. M_{d-1} as `leading`.
+    Paired (Hermitian) data is ranked through the eigenvalues of each M_t
+    (`seq.eig(t)`); Hankel data is complex symmetric, so its rank comes
+    from the singular values (`seq.takagi(t)`).
 
     M_d is ranked by `numeric_rank`. Let delta be the largest magnitude it
     discards, at least eps * max(1, ||M_d||). A leading M_t counts a value
@@ -209,23 +211,19 @@ def check_flatness(seq, d=None, dk=1, tol=1e-7, matrix=None, values=None, leadin
     if dk < 1:
         raise OrderTooSmall(f"certification needs a gap dk >= 1, got {dk}")
     d = seq.d if d is None else d
-    big = moment_matrix(seq, d).matrix if matrix is None else matrix
 
-    def magnitudes(sub):
+    def magnitudes(t):
         if seq.mode == "hankel":
-            return linalg.takagi(sub, tol=np.inf).values
-        return np.abs(linalg.hermitian_eig(sub, tol=np.inf).values)
+            return seq.takagi(t).values
+        return np.abs(seq.eig(t).values)
 
-    top = magnitudes(big) if values is None else np.abs(np.asarray(values, dtype=float))
+    top = magnitudes(d)
     r_d = linalg.numeric_rank(top, tol)
     discarded = np.sort(top)[: top.size - r_d]
     delta = max(discarded.max(initial=0.0), np.finfo(float).eps * max(1.0, top.max(initial=0.0)))
     ranks = []
     for t in range(d):
-        if leading is None:
-            vals = magnitudes(big[: index_count(seq.n, t), : index_count(seq.n, t)])
-        else:
-            vals = np.abs(np.asarray(leading[t], dtype=float))
+        vals = magnitudes(t)
         counted = (vals > tol * max(1.0, vals.max())) | (tol * vals > delta)
         ranks.append(int(np.sum(counted & (vals > delta))))
     return FlatnessInfo(ranks=ranks + [r_d], d=d, dk=dk)
@@ -416,13 +414,12 @@ def simultaneous_diagonalize(shifts, seed=0, tol=1e-8):
     )
 
 
-def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None, takagis=None):
+def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
     """Run the full extraction pipeline on a truncated moment sequence.
 
-    A caller that already holds the Takagi factorizations of H_0(y) ..
-    H_d(y) of Hankel data in transpose mode passes them as `takagis`; they
-    then give every rank and the factor. Every step gathers y from the one
-    array of `seq`.
+    Every rank, the root or Takagi factor and the certification scale come
+    from the decompositions `seq` keeps, so what a caller such as `interpolate`
+    factored is not factored again. Every step gathers y from the array of `seq`.
 
     Returns (AtomicMeasure, ExtractionReport); raises an ExtractionError
     subclass (carrying the partial report) when the data does not admit the
@@ -439,26 +436,18 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None, takagis=None
     mm = moment_matrix(seq, d)
     report.structure = classify_structure(mm, tol.struct_tol)
 
-    # the one eigendecomposition of M_d: rank at order d of paired data,
+    # the eigendecomposition of M_d: rank at order d of paired data,
     # smallest eigenvalue, root factor and certification scale
-    eig = linalg.hermitian_eig(mm.matrix, tol=np.inf)
-    rank_values = eig.values if seq.mode == "paired" else None
-    tk = leading = None
+    eig = seq.eig(d)
+    symmetric_tol = max(tol.psd_tol, 1e-10)
     if mode == TRANSPOSE and seq.mode == "hankel":
-        # the one Takagi factorization of M_d: its rank and the factor
-        if takagis is None:
-            tk = linalg.takagi(mm.matrix, max(tol.psd_tol, 1e-10))
-        else:
-            tk, leading = takagis[d], [t.values for t in takagis[:d]]
-        rank_values = tk.values
-    flat = check_flatness(seq, d, dk, tol.rank_tol, matrix=mm.matrix, values=rank_values,
-                          leading=leading)
+        seq.takagi(d, symmetric_tol)  # checked before the ranks, which it also gives
+    flat = check_flatness(seq, d, dk, tol.rank_tol)
     report.ranks = flat.ranks
     report.flat_1 = flat.flat_1
     report.flat_dk = flat.flat_dk
     report.rank = flat.r_d
     report.min_moment_eig = float(eig.values[0])
-    report.moment_spectrum = eig.values
 
     if not flat.flat_1:
         raise NotFlat(
@@ -469,7 +458,7 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None, takagis=None
     if mode == CONJUGATE:
         x = linalg.psd_root_factor(mm.matrix, tol.psd_tol, tol.rank_tol, eig=eig)
     else:
-        u, sigma = tk or linalg.takagi(mm.matrix, max(tol.psd_tol, 1e-10))
+        u, sigma = seq.takagi(d, symmetric_tol)
         r = linalg.numeric_rank(sigma, tol.rank_tol)
         x = np.sqrt(sigma[:r])[:, None] * u[:, :r].T
 
@@ -615,22 +604,17 @@ class ConstraintFeasibility:
     expected_zero_count: int | None
 
 
-def feasibility_report(measure, problem, tol=1e-6, seq=None, dk=None, moment_spectrum=None):
+def feasibility_report(measure, problem, tol=1e-6, seq=None, dk=None):
     """Evaluate every constraint at every atom.
 
     With the solved sequence supplied, also reports the theoretical count of
     atoms lying on each constraint boundary, rank M_d(y) - rank M_{d-dk}(g_i y).
-    A caller that holds the eigenvalues of the Hermitian part of M_d(y)
-    (`ExtractionReport.moment_spectrum`) passes them as `moment_spectrum`.
     """
     rows = []
     rank_d = None
     if seq is not None:
         dk = problem.d_K if dk is None else dk
-        if moment_spectrum is None:
-            moment_spectrum, _ = linalg.hermitian_eig(moment_matrix(seq, seq.d).matrix,
-                                                      tol=np.inf)
-        rank_d = linalg.numeric_rank(moment_spectrum, 1e-5)
+        rank_d = linalg.numeric_rank(seq.eig(seq.d).values, 1e-5)
     for idx, con in enumerate(problem.constraints):
         vals = [float(np.real(con.poly.eval(np.asarray(a)))) for a in measure.atoms]
         if con.kind == "eq":

@@ -3,7 +3,8 @@
 A model is a finite sum of terms w_k * exp(<f_k, z>) with complex weights
 and frequency vectors. Sampling it on the integer grid turns interpolation
 into a truncated moment problem in Hankel form; recovery factorizes the
-Hankel moment matrix with the Takagi decomposition and runs the shift
+Hankel moment matrices with the Takagi decomposition (the samples'
+`MomentSequence.takagi`, shared with the extraction) and runs the shift
 extraction in transpose mode, with no Vandermonde solve.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import AtomAtZero, ParseError, RankNotStabilized, TooManyVariables
-from .extraction import TRANSPOSE, Tolerances, extract_measure
+from .extraction import Tolerances, extract_measure
 from .moment import (
     MomentSequence,
     _complexes,
@@ -26,7 +27,6 @@ from .moment import (
     _tolerant_order,
     _write_records,
     enumerate_indices,
-    hankel_matrix,
 )
 
 __all__ = [
@@ -110,8 +110,8 @@ def interpolate(samples, d_max=None, tol=None, seed=0):
     `samples` is a hankel-mode MomentSequence. The Hankel order grows from 1
     until the rank stabilizes, then the transpose-mode extraction runs and
     atom coordinates map to frequencies through the principal logarithm.
-    Each H_t is Takagi-factored once: the extraction reuses the search's
-    factorizations for its ranks and its factor.
+    Each H_t is Takagi-factored once, by `samples.takagi`: the extraction
+    reads the search's factorizations for its ranks and its factor.
     Returns (model, report); the report carries the resampling residual.
     """
     tol = tol or Tolerances()
@@ -121,33 +121,19 @@ def interpolate(samples, d_max=None, tol=None, seed=0):
     if d_max < 1:
         raise ValueError("need at least order-1 samples")
 
-    def factor(d):
-        return linalg.takagi(hankel_matrix(samples, d).matrix, max(tol.psd_tol, 1e-10))
-
-    takagis, ranks = [], []
-    stabilized = None
+    ranks = []
     for d in range(d_max + 1):
-        takagis.append(factor(d))
-        ranks.append(linalg.numeric_rank(takagis[-1].values, tol.rank_tol))
+        sigma = samples.takagi(d, max(tol.psd_tol, 1e-10)).values
+        ranks.append(linalg.numeric_rank(sigma, tol.rank_tol))
         if d and ranks[-1] == ranks[-2]:
-            stabilized = d
             break
-    if stabilized is None:
+    else:
         raise RankNotStabilized(
             f"Hankel rank still growing at order {d_max} (rank {ranks[-1]})"
         )
 
-    sub = MomentSequence(
-        n=samples.n,
-        d=stabilized,
-        mode="hankel",
-        values={
-            a: samples.values[a]
-            for a in enumerate_indices(samples.n, 2 * stabilized)
-        },
-    )
-    measure, report = extract_measure(sub, d=stabilized, mode=TRANSPOSE, seed=seed, tol=tol,
-                                     takagis=takagis)
+    # its reconstruction residual, over every sample, gives way to the resampling one
+    measure, report = extract_measure(samples, d=d, seed=seed, tol=tol)
 
     terms = []
     for atom, w in zip(measure.atoms, measure.weights):
@@ -159,13 +145,13 @@ def interpolate(samples, d_max=None, tol=None, seed=0):
         terms.append(ExpTerm(complex(w), tuple(freqs)))
     model = ExpSumModel(samples.n, terms).canonical()
 
-    resampled = sample_grid(model, stabilized)
+    resampled = sample_grid(model, d)
     resid = max(
         abs(resampled.values[a] - complex(samples.values[a]))
         for a in resampled.values
     )
     report.reconstruction_residual = float(resid)
-    report.notes.append(f"rank stabilized at order {stabilized}")
+    report.notes.append(f"rank stabilized at order {d}")
     return model, report
 
 

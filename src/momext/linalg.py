@@ -115,11 +115,8 @@ def psd_root_factor(a, tol=1e-8, rank_tol=DEFAULT_RANK_TOL, eig=None):
     """
     a = _as_complex_matrix(a)
     n = a.shape[0]
-    if eig is None:
-        values, vectors = hermitian_eig(a, tol=max(tol, 1e-9))
-    else:
-        _check_hermitian(a, max(tol, 1e-9))
-        values, vectors = eig
+    _check_hermitian(a, max(tol, 1e-9))
+    values, vectors = hermitian_eig(a, tol=np.inf) if eig is None else eig
     scale = max(np.abs(values).max(initial=0.0), 0.0)
     if values.size and values[0] < -tol * max(scale, 1.0):
         raise NotPSD(f"eigenvalue {values[0]:.6e} below -{tol:.1e} * ||a||")

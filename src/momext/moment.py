@@ -2,7 +2,8 @@
 
 Indices are plain tuples of nonnegative ints ordered graded-lexicographically
 (total degree first, then lexicographic with the first variable highest).
-A MomentSequence stores the raw truncated data in one of two modes:
+A MomentSequence decomposes each of its moment matrices once, for every
+caller, and stores the raw truncated data in one of two modes:
 
 * ``paired``  -- keys are (alpha, beta) pairs, values y[alpha, beta];
 * ``hankel``  -- keys are single indices, values y[alpha] (interpolation data).
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .errors import MissingMoment, OrderTooSmall, ParseError
 
 __all__ = [
@@ -188,6 +190,7 @@ class MomentSequence:
     layout(n, 2d) for Hankel data. `present` marks the slots whose key was
     given. A key beyond order d raises ValueError. Graded-lex labels make
     the matrices of every order gathers from `array` through `read`.
+    `eig(t)` and `takagi(t, tol)` decompose each M_t once, for every caller.
     """
 
     n: int
@@ -213,6 +216,20 @@ class MomentSequence:
         self.present = np.zeros(self.array.size, dtype=bool)
         self.present[slots] = True
         self.array.flags.writeable = self.present.flags.writeable = False
+        self._eigs, self._takagis = {}, {}  # t: EigResult, t: (checked tol, TakagiResult)
+
+    def eig(self, t):
+        """`linalg.hermitian_eig(M_t(y), tol=np.inf)`, computed once per order t; read-only."""
+        if t not in self._eigs:
+            m = moment_matrix(self, t).matrix
+            self._eigs[t] = _frozen(linalg.hermitian_eig(m, tol=np.inf))
+        return self._eigs[t]
+
+    def takagi(self, t, tol=np.inf):
+        """`linalg.takagi(M_t(y), tol)`, reusing a kept result checked at tol or more strictly."""
+        if t not in self._takagis or self._takagis[t][0] > tol:
+            self._takagis[t] = (tol, _frozen(linalg.takagi(moment_matrix(self, t).matrix, tol)))
+        return self._takagis[t][1]
 
     def get(self, alpha, beta):
         """y_{alpha,beta}; in hankel mode this is y_{alpha+beta}."""
@@ -261,6 +278,13 @@ class MomentSequence:
             if w is None or abs(np.conj(complex(v)) - complex(w)) > tol * max(scale, 1.0):
                 return False
         return True
+
+
+def _frozen(result):
+    """A decomposition, its arrays made read-only to share them."""
+    for array in result:
+        array.flags.writeable = False
+    return result
 
 
 @dataclass

@@ -377,6 +377,40 @@ class TestErrorMapping:
         self.bad_value(capsys, ["interpolate", "--model", demo("example7.expsum")], "--model")
         self.bad_value(capsys, ["interpolate"], "need a samples file")
 
+    def test_interpolate_with_both_inputs_exits_bad_command_line(self, capsys):
+        self.bad_value(capsys, ["interpolate", demo("roots_of_unity.momseq"),
+                                "--model", demo("example7.expsum"), "--sample", "2"],
+                       "give a samples file or --model, not both")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--psd-tol", "nan"), ("--psd-tol", "-1"), ("--rank-tol", "nan"),
+        ("--rank-tol", "inf"), ("--shift-tol", "0"), ("--hypo-tol", "-inf"),
+    ])
+    def test_bad_tolerances_exit_bad_command_line(self, capsys, flag, value):
+        name = flag[2:].replace("-", "_")
+        for argv in (["extract", demo("roots_of_unity.momseq"), "--gap", "3"],
+                     ["check", demo("roots_of_unity.momseq")],
+                     ["solve", demo("torus.pop"), "--order", "3"],
+                     ["interpolate", "--model", demo("example7.expsum"), "--sample", "2"]):
+            code, out = run(argv + [f"{flag}={value}"])  # "=": "-1" is no option
+            err = capsys.readouterr().err
+            assert (code, out) == (2, "")
+            assert err.startswith(f"momext: {argv[0]}: bad tolerance option: {name} must be ")
+            assert err.count("\n") == 1
+
+    def test_commands_that_extract_nothing_take_no_tolerances(self, capsys):
+        model = demo("example7.expsum")
+        for argv in (["sample", model, "--order", "1"],
+                     ["signal", model, "--range", "0:1:2", "--range", "0:1:2"],
+                     ["export-sdpa", demo("torus.pop"), "--order", "2"],
+                     ["import-solution", demo("torus.pop"), "solution.txt", "--order", "2"]):
+            for option in (["--tol-preset", "printed"], ["--rank-tol", "1e-3"],
+                           ["--psd-tol", "nan"], ["--shift-tol", "1"], ["--hypo-tol", "1"]):
+                with pytest.raises(SystemExit) as exc:
+                    run(argv + option)
+                assert exc.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_signal_rejects_missing_ranges_and_negative_counts(self, capsys):
         model = demo("example7.expsum")  # two variables
         self.bad_value(capsys, ["signal", model, "--range", "0:9:10"], "need one --range")

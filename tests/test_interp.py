@@ -112,6 +112,13 @@ class TestInterpolate:
         assert_models_match(model, pd.ex7_model().canonical(), 1e-8)
         assert sizes == [1, 3, 6]
 
+    def test_samples_beyond_the_stabilized_order_change_nothing(self):
+        # the extraction reads the samples themselves, not a copy cut to order 2
+        model, report = interpolate(sample_grid(pd.ex7_model(), 3), d_max=3)
+        expected_model, expected_report = interpolate(sample_grid(pd.ex7_model(), 2), d_max=2)
+        assert report.ranks == [1, 2, 2]
+        assert model == expected_model and report == expected_report
+
     def test_single_term_order_one(self):
         truth = ExpSumModel(2, [ExpTerm(1.0, (0.1, -0.2))]).canonical()
         model, _ = interpolate(sample_grid(truth, 1), d_max=1)

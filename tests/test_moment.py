@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from momext import linalg
-from momext.errors import MissingMoment, OrderTooSmall, ParseError
+from momext.errors import MissingMoment, NotSymmetric, OrderTooSmall, ParseError
+from momext.interp import sample_grid
 from momext.moment import (
     HermitianPoly,
     MomentMatrix,
@@ -382,6 +383,62 @@ class TestReadOnlyStore:
     def test_a_key_beyond_the_order_raises(self, mode, key):
         with pytest.raises(ValueError):
             MomentSequence(n=1, d=1, mode=mode, values={key: 1.0})
+
+
+def _recording(monkeypatch, name):
+    """Wrap linalg.<name>; returns the list of (size, tol) of its calls."""
+    calls = []
+    original = getattr(linalg, name)
+
+    def wrapper(a, tol):
+        calls.append((len(a), tol))
+        return original(a, tol)
+
+    monkeypatch.setattr(linalg, name, wrapper)
+    return calls
+
+
+class TestKeptDecompositions:
+    def test_eig_decomposes_each_order_once(self, monkeypatch):
+        seq = pd.brute_moments_paired(pd.EX3_ATOMS, [0.3, 0.7], n=2, d=3)
+        expected = {t: linalg.hermitian_eig(moment_matrix(seq, t).matrix) for t in (1, 3)}
+        calls = _recording(monkeypatch, "hermitian_eig")
+        for t in (3, 1, 3, 1):
+            values, vectors = seq.eig(t)
+            np.testing.assert_array_equal(values, expected[t].values)
+            np.testing.assert_array_equal(vectors, expected[t].vectors)
+        assert calls == [(10, np.inf), (3, np.inf)]
+        assert seq.eig(3) is seq.eig(3)
+        with pytest.raises(ValueError):
+            seq.eig(3).values[0] = 0.0  # shared between callers, so read-only
+
+    def test_takagi_is_served_by_a_factorization_checked_as_strictly(self, monkeypatch):
+        seq = sample_grid(pd.ex7_model(), 2)
+        expected = linalg.takagi(hankel_matrix(seq, 2).matrix)
+        calls = _recording(monkeypatch, "takagi")
+        first = seq.takagi(2, 1e-8)
+        assert seq.takagi(2) is first and seq.takagi(2, 1e-6) is first
+        np.testing.assert_array_equal(first.values, expected.values)
+        np.testing.assert_array_equal(first.u, expected.u)
+        assert calls == [(6, 1e-8)]
+        # an unchecked factorization does not serve a checked request
+        unchecked = seq.takagi(1)
+        assert seq.takagi(1, 1e-8) is not unchecked
+        assert seq.takagi(1, 1e-8) is seq.takagi(1)
+        assert calls == [(6, 1e-8), (3, np.inf), (3, 1e-8)]
+
+    def test_a_failed_symmetry_check_keeps_nothing(self, monkeypatch):
+        # paired data with a complex atom: M_1 is Hermitian, not symmetric
+        seq = pd.brute_moments_paired([(0.5 + 0.5j,)], [1.0], n=1, d=2)
+        calls = _recording(monkeypatch, "takagi")
+        for _ in range(2):
+            with pytest.raises(NotSymmetric):
+                seq.takagi(1, 1e-8)
+        assert len(calls) == 2
+        seq.takagi(1)  # unchecked: a new factorization, which then is kept
+        with pytest.raises(NotSymmetric):
+            seq.takagi(1, 1e-8)
+        assert calls == [(2, 1e-8), (2, 1e-8), (2, np.inf), (2, 1e-8)]
 
 
 class TestSequenceIO:

@@ -145,7 +145,8 @@ def _report_extraction(rep, report):
     rep.add("extraction.flat_step1", report.flat_1)
     rep.add("extraction.flat_gap", report.flat_dk)
     rep.add("extraction.rank", report.rank)
-    rep.add("extraction.moment_min_eig", report.min_moment_eig)
+    if report.min_moment_eig is not None:
+        rep.add("extraction.moment_min_eig", report.min_moment_eig)
     if report.structure is not None:
         rep.add("extraction.structure.hermitian", report.structure.hermitian)
         rep.add("extraction.structure.hankel", report.structure.hankel)
@@ -164,8 +165,6 @@ def _report_extraction(rep, report):
         rep.add("extraction.reconstruction_residual", report.reconstruction_residual)
     rep.add("extraction.certification", report.certification)
     rep.add("extraction.atom_count", report.atom_count)
-    for note in report.notes:
-        rep.add("extraction.note", note)
 
 
 def _report_measure(rep, measure):
@@ -239,7 +238,9 @@ def cmd_check(args):
     rep.add("ranks", flat.ranks)
     rep.add("flat_step1", flat.flat_1)
     rep.add("flat_gap", flat.flat_dk)
-    rep.add("moment_spectrum", [float(v) for v in seq.eig(seq.d).values])
+    # the values the ranks come from: Takagi values of Hankel data, eigenvalues of paired data
+    spectrum = seq.takagi(seq.d) if seq.mode == "hankel" else seq.eig(seq.d)
+    rep.add("moment_spectrum", [float(v) for v in spectrum.values])
     if seq.mode == "paired" and seq.d - args.gap >= 0:
         spectra = data_hyponormality_spectra(seq, args.gap)
         for (i, j), bvals in spectra.items():
@@ -352,7 +353,6 @@ def cmd_interpolate(args):
     rep.add("model.terms", len(model.terms))
     for term in model.terms:
         rep.add("model.term", [complex(term.weight)] + [complex(f) for f in term.frequencies])
-    rep.add("resampling_residual", report.reconstruction_residual)
     if args.out:
         interp.write_model(model, args.out)
         rep.add("output.model", args.out)

@@ -94,6 +94,15 @@ class Tolerances:
             if not 0 < value < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
+    @property
+    def symmetry_tol(self):
+        """The complex-symmetry tolerance of a Takagi factorization: psd_tol, at least 1e-10.
+
+        `interpolate` and `extract_measure` both factor H_t at it, so the
+        sequence serves the extraction the factorizations of the rank search.
+        """
+        return max(self.psd_tol, 1e-10)
+
     @classmethod
     def printed(cls):
         return cls(
@@ -179,7 +188,7 @@ class ExtractionReport:
     flat_1: bool = False
     flat_dk: bool = False
     rank: int = 0
-    min_moment_eig: float = 0.0
+    min_moment_eig: float | None = None  # conjugate mode only
     structure: object = None
     hypo_min_eig: float | None = None
     hypo_commutator: float | None = None
@@ -189,7 +198,6 @@ class ExtractionReport:
     reconstruction_residual: float | None = None
     certification: str = "failed"
     atom_count: int = 0
-    notes: list = field(default_factory=list)
 
 
 def check_flatness(seq, d=None, dk=1, tol=1e-7):
@@ -423,10 +431,12 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
 
     Returns (AtomicMeasure, ExtractionReport); raises an ExtractionError
     subclass (carrying the partial report) when the data does not admit the
-    construction.
+    construction, and OrderTooSmall for an order d < 1, which has no shifts.
     """
     tol = tol or Tolerances()
     d = seq.d if d is None else d
+    if d < 1:
+        raise OrderTooSmall(f"extraction needs order d >= 1, got {d}")
     if mode is None:
         mode = TRANSPOSE if seq.mode == "hankel" else CONJUGATE
     if mode not in (CONJUGATE, TRANSPOSE):
@@ -436,18 +446,18 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
     mm = moment_matrix(seq, d)
     report.structure = classify_structure(mm, tol.struct_tol)
 
-    # the eigendecomposition of M_d: rank at order d of paired data,
-    # smallest eigenvalue, root factor and certification scale
-    eig = seq.eig(d)
-    symmetric_tol = max(tol.psd_tol, 1e-10)
-    if mode == TRANSPOSE and seq.mode == "hankel":
-        seq.takagi(d, symmetric_tol)  # checked before the ranks, which it also gives
+    if mode == CONJUGATE:
+        # the eigendecomposition of M_d: smallest eigenvalue, root factor
+        # and certification scale
+        eig = seq.eig(d)
+        report.min_moment_eig = float(eig.values[0])
+    elif seq.mode == "hankel":
+        seq.takagi(d, tol.symmetry_tol)  # checked before the ranks, which it also gives
     flat = check_flatness(seq, d, dk, tol.rank_tol)
     report.ranks = flat.ranks
     report.flat_1 = flat.flat_1
     report.flat_dk = flat.flat_dk
     report.rank = flat.r_d
-    report.min_moment_eig = float(eig.values[0])
 
     if not flat.flat_1:
         raise NotFlat(
@@ -458,9 +468,8 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
     if mode == CONJUGATE:
         x = linalg.psd_root_factor(mm.matrix, tol.psd_tol, tol.rank_tol, eig=eig)
     else:
-        u, sigma = seq.takagi(d, symmetric_tol)
-        r = linalg.numeric_rank(sigma, tol.rank_tol)
-        x = np.sqrt(sigma[:r])[:, None] * u[:, :r].T
+        u, sigma = seq.takagi(d, tol.symmetry_tol)
+        x = np.sqrt(sigma[:flat.r_d])[:, None] * u[:, :flat.r_d].T
 
     basis = linalg.column_basis(x, tol.rank_tol)
     if len(basis) != x.shape[0]:
@@ -532,14 +541,15 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
     report.atom_count = len(measure.atoms)
     report.reconstruction_residual = verify_measure(measure, seq)
 
-    scale = max(1.0, float(np.abs(eig.values).max()))  # ||M_d||_2
-    report.certification = _certify(seq, report, flat, mode, tol, scale)
+    if mode == TRANSPOSE:
+        report.certification = "certified" if flat.flat_dk else "rank_preserved_uncertified"
+    else:
+        scale = max(1.0, float(np.abs(eig.values).max()))  # ||M_d||_2
+        report.certification = _certify(seq, report, flat, tol, scale)
     return measure, report
 
 
-def _certify(seq, report, flat, mode, tol, scale):
-    if mode == TRANSPOSE:
-        return "certified" if flat.flat_dk else "rank_preserved_uncertified"
+def _certify(seq, report, flat, tol, scale):
     psd_ok = report.min_moment_eig >= -tol.psd_tol * scale
     if not flat.flat_dk or not psd_ok:
         return "rank_preserved_uncertified"

@@ -25,10 +25,10 @@ from .moment import (
     _complexes,
     _count,
     _fmt,
-    _idx_str,
     _parse_idx,
     _read_records,
     hyponormality_grid,
+    index_count,
     layout,
     moment_matrix,
     variable_pairs,
@@ -106,18 +106,10 @@ class RelaxationMap:
             self.var[..., 1].T[strict] = self.var[..., 1][strict]
             self.coeff[..., 1][strict] = 1.0j
             self.coeff[..., 1].T[strict] = -1.0j
-            self.var_names = [
-                f"{part}[{_idx_str(self.indices[p])}|{_idx_str(self.indices[q])}]"
-                for part, (rows, cols) in (("re", upper), ("im", strict))
-                for p, q in zip(rows, cols)
-            ]
+            self.n_vars = len(upper[0]) + len(strict[0])
         else:
             self.var[..., 0] = lay.sums
-            self.var_names = [f"y[{_idx_str(s)}]" for s in layout(n, 2 * d).labels]
-
-    @property
-    def n_vars(self):
-        return len(self.var_names)
+            self.n_vars = index_count(n, 2 * d)
 
     def sequence_from_values(self, x):
         """Solver vector -> exactly Hermitian paired MomentSequence."""
@@ -188,17 +180,13 @@ class SDPBlock:
 
 @dataclass
 class SDPProblem:
-    var_names: list
+    n_vars: int
     blocks: list
     eq_a: np.ndarray  # (rows, n_vars)
     eq_b: np.ndarray  # (rows,)
     objective: np.ndarray  # (n_vars,)
     obj_const: float = 0.0
     is_real: bool = False
-
-    @property
-    def n_vars(self):
-        return len(self.var_names)
 
 
 def parse_problem(text):
@@ -369,7 +357,7 @@ def assemble_relaxation(problem, d, enforce_hyponormality=False):
         raise NotHermitian("objective produced a complex linear functional")
 
     sdp = SDPProblem(
-        var_names=list(rmap.var_names),
+        n_vars=rmap.n_vars,
         blocks=blocks,
         eq_a=np.vstack([row for row, _ in eq_rows]),  # never empty: y[0,0] = 1
         eq_b=np.array([rhs for _, rhs in eq_rows]),
@@ -439,7 +427,7 @@ def realify(sdp):
         keep = vals != 0
         out_blocks.append(SDPBlock(b.name, 2 * s, _embed(b.const), quads[keep],
                                    np.repeat(var[:, None], 4, axis=1)[keep], vals[keep]))
-    return SDPProblem(sdp.var_names, out_blocks, sdp.eq_a, sdp.eq_b,
+    return SDPProblem(sdp.n_vars, out_blocks, sdp.eq_a, sdp.eq_b,
                       sdp.objective, sdp.obj_const, is_real=True)
 
 

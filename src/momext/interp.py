@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import AtomAtZero, ParseError, RankNotStabilized, TooManyVariables
+from .errors import AtomAtZero, OrderTooSmall, ParseError, RankNotStabilized, TooManyVariables
 from .extraction import Tolerances, extract_measure
 from .moment import (
     MomentSequence,
@@ -112,18 +112,20 @@ def interpolate(samples, d_max=None, tol=None, seed=0):
     atom coordinates map to frequencies through the principal logarithm.
     Each H_t is Takagi-factored once, by `samples.takagi`: the extraction
     reads the search's factorizations for its ranks and its factor.
-    Returns (model, report); the report carries the resampling residual.
+    Returns (model, report); the report's reconstruction residual covers
+    every sample given, those beyond the stabilized order too. An order
+    below 1 raises OrderTooSmall.
     """
     tol = tol or Tolerances()
     if samples.mode != "hankel":
         raise ValueError("interpolation requires hankel-mode samples")
     d_max = samples.d if d_max is None else min(d_max, samples.d)
     if d_max < 1:
-        raise ValueError("need at least order-1 samples")
+        raise OrderTooSmall(f"interpolation needs order-1 samples, got order {d_max}")
 
     ranks = []
     for d in range(d_max + 1):
-        sigma = samples.takagi(d, max(tol.psd_tol, 1e-10)).values
+        sigma = samples.takagi(d, tol.symmetry_tol).values
         ranks.append(linalg.numeric_rank(sigma, tol.rank_tol))
         if d and ranks[-1] == ranks[-2]:
             break
@@ -132,7 +134,6 @@ def interpolate(samples, d_max=None, tol=None, seed=0):
             f"Hankel rank still growing at order {d_max} (rank {ranks[-1]})"
         )
 
-    # its reconstruction residual, over every sample, gives way to the resampling one
     measure, report = extract_measure(samples, d=d, seed=seed, tol=tol)
 
     terms = []
@@ -143,16 +144,7 @@ def interpolate(samples, d_max=None, tol=None, seed=0):
                 raise AtomAtZero(f"node {coord} too close to zero for log()")
             freqs.append(complex(np.log(coord)))
         terms.append(ExpTerm(complex(w), tuple(freqs)))
-    model = ExpSumModel(samples.n, terms).canonical()
-
-    resampled = sample_grid(model, d)
-    resid = max(
-        abs(resampled.values[a] - complex(samples.values[a]))
-        for a in resampled.values
-    )
-    report.reconstruction_residual = float(resid)
-    report.notes.append(f"rank stabilized at order {d}")
-    return model, report
+    return ExpSumModel(samples.n, terms).canonical(), report
 
 
 def emit_signal(model, ranges, which="real"):

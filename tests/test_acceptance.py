@@ -385,7 +385,7 @@ def test_criterion_9_solver_sanity(ellipse_d3, reduced_d2_plain,
     from momext.hierarchy import SDPProblem
 
     blk = pd.block_from_dense("toy", 2, np.array([[0.0, 1.0], [1.0, 0.0]]), {0: np.eye(2)})
-    toy = SDPProblem(["x"], [blk], np.zeros((0, 1)), np.zeros(0),
+    toy = SDPProblem(1, [blk], np.zeros((0, 1)), np.zeros(0),
                      np.array([1.0]), 0.0, is_real=True)
     sol = solve(toy)
     _solution_log.append(("toy", 0, False, sol))

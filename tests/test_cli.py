@@ -124,6 +124,20 @@ class TestCheckCommand:
         assert rows["data_hypo_min_eig"] == min(
             (rows[k].split()[0] for k in spectra), key=float)
 
+    def test_hankel_spectrum_is_the_takagi_values(self):
+        # the values the ranks come from, not the eigenvalues of the Hermitian part
+        from momext import linalg
+        from momext.moment import hankel_matrix
+
+        code, text = run(["check", demo("example7_grid.momseq"), "--format", "structured"])
+        rows = dict(line.split(" ", 1) for line in text.strip().splitlines())
+        spectrum = np.array(rows["moment_spectrum"].split(), dtype=float)
+        grid = read_sequence(demo("example7_grid.momseq"))
+        sigma = linalg.takagi(hankel_matrix(grid, 2).matrix).values
+        assert code == 0 and rows["ranks"] == "1 2 2"
+        np.testing.assert_allclose(spectrum, sigma, rtol=1e-11, atol=1e-15)
+        assert linalg.numeric_rank(spectrum) == int(rows["ranks"].split()[-1])
+
     def test_never_modifies_input(self, tmp_path):
         seq_path = write_fixture(tmp_path, pd.ex5_seq(3), "ex5.momseq")
         before = open(seq_path).read()
@@ -213,7 +227,7 @@ class TestInterpolationCommands:
         assert code == 0
         rows = dict(line.split(" ", 1) for line in text.strip().splitlines()
                     if " " in line and not line.startswith("model.term "))
-        assert float(rows["resampling_residual"]) <= 1e-6
+        assert float(rows["extraction.reconstruction_residual"]) <= 1e-6
         rec = read_model(rec_path)
         truth = pd.ex7_model().canonical()
         for a, b in zip(rec.terms, truth.terms):
@@ -359,6 +373,20 @@ class TestErrorMapping:
         assert code == 5 and "certified" not in out
         assert capsys.readouterr().err.startswith("momext: OrderTooSmall: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["interpolate", "ORDER0"],
+        ["extract", "ORDER0"],
+        ["extract", demo("roots_of_unity.momseq"), "--order", "0"],
+    ])
+    def test_order_zero_exits_order_too_small(self, tmp_path, capsys, argv):
+        # H_0 and M_0 have no shifted column: the order is at fault, not the basis
+        path = str(tmp_path / "order0.momseq")
+        with open(path, "w") as fh:
+            fh.write("momseq 1\nmode hankel\nn 1\nd 0\ny 0 2 0\n")
+        code, _ = run([path if a == "ORDER0" else a for a in argv])
+        assert code == 5
+        assert capsys.readouterr().err.startswith("momext: OrderTooSmall: ")
+
     def test_sample_rejects_order_zero(self, capsys):
         self.bad_value(capsys, ["sample", demo("example7.expsum"), "--order", "0"], "--order")
 
@@ -483,6 +511,14 @@ class TestHankelModeExtract:
         for atom, w in zip(measure.atoms, measure.weights):
             key = tuple(np.round(np.real(atom), 2))
             assert abs(complex(w) - pd.EX6_WEIGHTS_BY_ATOM[key]) < 5e-3
+
+    def test_smallest_eigenvalue_reported_in_conjugate_mode_only(self):
+        # transpose mode decomposes M_d by its Takagi factorization alone
+        for name, mode, present in (("example7_grid.momseq", "transpose", False),
+                                    ("roots_of_unity.momseq", "conjugate_transpose", True)):
+            code, text = run(["extract", demo(name), "--format", "structured"])
+            assert code == 0 and f"extraction.mode {mode}\n" in text
+            assert ("extraction.moment_min_eig" in text) == present, mode
 
     def test_conjugate_mode_on_hankel_matches(self, tmp_path):
         seq = pd.ex6_seq(mode="hankel")

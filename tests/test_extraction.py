@@ -7,6 +7,7 @@ from momext.errors import (
     NotFlat,
     NotHermitian,
     NotHyponormal,
+    OrderTooSmall,
     ParseError,
     ShiftInconsistent,
 )
@@ -224,6 +225,22 @@ class TestExtractMeasure:
         meas, rep = extract_measure(seq, mode=TRANSPOSE)
         assert len(meas.atoms) == 2 and rep.ranks == [1, 2, 2]
         assert sizes.count(6) == 1
+
+    def test_smallest_eigenvalue_reported_in_conjugate_mode_only(self):
+        # transpose mode reads the Takagi factorization alone: no eigenvalues
+        from momext.interp import sample_grid
+
+        _, rep = extract_measure(sample_grid(pd.ex7_model(), 2), mode=TRANSPOSE)
+        assert rep.min_moment_eig is None and rep.certification == "certified"
+        _, rep = extract_measure(pd.ex3_seq(), dk=2, tol=PRINTED)
+        assert isinstance(rep.min_moment_eig, float)
+
+    @pytest.mark.parametrize("mode", [CONJUGATE, TRANSPOSE])
+    def test_order_zero_raises_order_too_small(self, mode):
+        # M_0 has no shifted column; the order, not the basis, is at fault
+        seq = pd.brute_moments_paired([(0.5,)], [1.0], n=1, d=1)
+        with pytest.raises(OrderTooSmall):
+            extract_measure(seq, d=0, mode=mode)
 
     def test_nonhermitian_moment_matrix_rejected(self):
         # one off-diagonal moment nudged without its mirror: the ranks of the

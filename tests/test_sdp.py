@@ -11,7 +11,7 @@ from paperdata import block_from_dense
 def lmi_problem(blocks, c, eq_a=None, eq_b=None, const=0.0):
     nv = len(c)
     return SDPProblem(
-        var_names=[f"v{i}" for i in range(nv)],
+        n_vars=nv,
         blocks=blocks,
         eq_a=np.zeros((0, nv)) if eq_a is None else np.asarray(eq_a, dtype=float),
         eq_b=np.zeros(0) if eq_b is None else np.asarray(eq_b, dtype=float),
@@ -117,7 +117,7 @@ class TestOptions:
 
     def test_requires_realified(self):
         blk = block_from_dense("b", 1, np.array([[1.0 + 0j]]), {0: np.array([[1.0 + 0j]])})
-        problem = SDPProblem(["v0"], [blk], np.zeros((0, 1)), np.zeros(0),
+        problem = SDPProblem(1, [blk], np.zeros((0, 1)), np.zeros(0),
                              np.array([1.0]), 0.0, is_real=False)
         with pytest.raises(ValueError):
             solve(problem)

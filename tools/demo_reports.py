@@ -2,12 +2,14 @@
 
 Runs, in one process, every demo `solve` (plus the enforced triangle),
 `check --gap 1` and `check --gap 3` of the roots-of-unity sequence, its
-`extract --gap 3` and `extract --order 4` (an order above the file's,
-which exits with the first missing moment), `export-sdpa` of the torus,
-the ellipse, the enforced reduced ellipse and the enforced triangle, and
-`sample`, `interpolate --model` and `signal` of Example 7, plus
-`interpolate` without `--sample` and without any input (both exit as a
-bad command line), all with `--format structured --seed 0`.
+`extract --gap 3`, `extract --order 4` (an order above the file's, which
+exits with the first missing moment) and `extract --order 0` (which has
+no shifts), `export-sdpa` of the torus, the ellipse, the enforced reduced
+ellipse and the enforced triangle, `sample`, `interpolate --model` and
+`signal` of Example 7, `check` and `extract` of its order-2 sample grid
+(Hankel data), plus `interpolate` without `--sample` and without any
+input (both exit as a bad command line), all with
+`--format structured --seed 0`.
 Each report is preceded by its command line and followed by its exit code
 and anything written to stderr. The last report is the exit-code table
 that `momext --help` ends with.
@@ -46,6 +48,7 @@ NUMBER_TOL = 1e-9
 INTEGER = re.compile(r"[+-]?\d+")
 MOMSEQ = "demo/roots_of_unity.momseq"
 EXPSUM = "demo/example7.expsum"
+GRID = "demo/example7_grid.momseq"  # `momext sample` of EXPSUM at order 2
 
 COMMANDS = [
     ["solve", "demo/ellipse.pop", "--order", "3"],
@@ -59,11 +62,14 @@ COMMANDS = [
     ["check", MOMSEQ, "--gap", "3"],
     ["extract", MOMSEQ, "--gap", "3"],
     ["extract", MOMSEQ, "--order", "4"],
+    ["extract", MOMSEQ, "--order", "0"],
     ["export-sdpa", "demo/torus.pop", "--order", "3"],
     ["export-sdpa", "demo/ellipse.pop", "--order", "3"],
     ["export-sdpa", "demo/ellipse_reduced.pop", "--order", "2", "--enforce-hypo"],
     ["export-sdpa", "demo/triangle.pop", "--order", "3", "--enforce-hypo"],
     ["sample", EXPSUM, "--order", "2"],
+    ["check", GRID],
+    ["extract", GRID],
     ["interpolate", "--model", EXPSUM, "--sample", "2"],
     ["interpolate", "--model", EXPSUM],
     ["interpolate"],

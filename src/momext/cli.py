@@ -22,13 +22,12 @@ from .extraction import (
     Tolerances,
     extract_measure,
     check_flatness,
-    data_hyponormality_spectra,
+    data_hyponormality_spectrum,
     feasibility_report,
     write_measure,
 )
 from .moment import (
     classify_structure,
-    moment_matrix,
     read_sequence,
     sequence_to_text,
     unit_index,
@@ -191,9 +190,10 @@ def _extract(rep, args, seq, **kwargs):
     """extract_measure; a failure's partial report is emitted before it propagates."""
     try:
         return extract_measure(seq, seed=args.seed, **kwargs)
-    except errors.ExtractionError as exc:
-        if exc.report is not None:
-            _report_extraction(rep, exc.report)
+    except errors.MomextError as exc:
+        if getattr(exc, "report", None) is None:  # raised before the report began
+            raise
+        _report_extraction(rep, exc.report)
         rep.add("error", type(exc).__name__)
         rep.add("error.detail", str(exc))
         _emit(rep, args)
@@ -229,8 +229,7 @@ def cmd_check(args):
     rep.add("input.d", seq.d)
     rep.add("input.mode", seq.mode)
     rep.add("hermitian_data", seq.is_hermitian(1e-9))
-    mm = moment_matrix(seq, seq.d)
-    flags = classify_structure(mm, tol.struct_tol)
+    flags = classify_structure(seq.matrix(seq.d), tol.struct_tol)
     rep.add("structure.hermitian", flags.hermitian)
     rep.add("structure.hankel", flags.hankel)
     rep.add("structure.toeplitz", flags.toeplitz)
@@ -242,10 +241,10 @@ def cmd_check(args):
     spectrum = seq.takagi(seq.d) if seq.mode == "hankel" else seq.eig(seq.d)
     rep.add("moment_spectrum", [float(v) for v in spectrum.values])
     if seq.mode == "paired" and seq.d - args.gap >= 0:
-        spectra = data_hyponormality_spectra(seq, args.gap)
-        for (i, j), bvals in spectra.items():
-            rep.add(f"data_hypo_spectrum.{i},{j}", [float(v) for v in bvals])
-        rep.add("data_hypo_min_eig", min(float(bvals[0]) for bvals in spectra.values()))
+        hypo = [float(v) for v in data_hyponormality_spectrum(seq, args.gap)]
+        variables = "1,1" if seq.n == 1 else ",".join(map(str, range(1, seq.n + 1)))
+        rep.add(f"data_hypo_spectrum.{variables}", hypo)
+        rep.add("data_hypo_min_eig", hypo[0])
     _emit(rep, args)
     return 0
 
@@ -451,7 +450,7 @@ def build_parser():
     p.add_argument("problem")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--enforce-hypo", action="store_true",
-                   help="add joint-hyponormality blocks to the relaxation")
+                   help="add the joint-hyponormality block to the relaxation")
     p.add_argument("--max-iterations", type=int, default=100)
     p.add_argument("--gap-tol", type=float, default=1e-8)
     p.add_argument("--feas-tol", type=float, default=1e-8)

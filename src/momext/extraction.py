@@ -22,6 +22,7 @@ from .errors import (
     DegenerateCombination,
     IsotropicEigenvector,
     MissingMoment,
+    MomextError,
     NotFlat,
     NotHyponormal,
     OrderTooSmall,
@@ -42,10 +43,9 @@ from .moment import (
     hyponormality_grid,
     layout,
     localizing_matrix,
-    moment_matrix,
+    moment_matrix,  # unused here; perfbench's tracer test checks it is rebound in this module
     total_degree,
     unit_index,
-    variable_pairs,
 )
 
 __all__ = [
@@ -284,11 +284,11 @@ def compute_shifts(x, labels, basis, mode, tol=1e-6):
 
 
 def operator_hypo_block(*shifts):
-    """Hermitian operator block testing the joint hyponormality of one or two shifts.
+    """Hermitian operator block testing the joint hyponormality of the shifts.
 
     Laid out as the data-level block (`moment.hyponormality_grid`): cell
-    (r, s) is S_s^* S_r, with S_0 = I and S_k the k-th shift. One shift
-    gives the 2x2 univariate block, two give the 3x3 block of the pair.
+    (r, s) is S_s^* S_r, with S_0 = I and S_k the k-th shift, so n shifts
+    give one (n+1) x (n+1) grid of cells (2x2 for one shift).
     """
     k = len(shifts)
     eye = np.eye(shifts[0].shape[0], dtype=complex)
@@ -301,7 +301,7 @@ def operator_hypo_block(*shifts):
         return left.conj().T if right is eye else left.conj().T @ right
 
     return np.block([[cell(gamma, delta) for gamma, delta in row]
-                     for row in hyponormality_grid(k, 1, k)])
+                     for row in hyponormality_grid(k)])
 
 
 def _max_commutator(ops):
@@ -316,24 +316,20 @@ def _max_commutator(ops):
 def check_hyponormality(shifts, tol=1e-6):
     """Operator-level joint hyponormality test.
 
-    The minimum eigenvalue over the operator blocks of `variable_pairs(n)`
-    (the 2x2 univariate block for n == 1), and the largest pairwise
-    commutator norm among the shifts and their adjoints. For n == 1 the
-    commutator alone decides: the self-commutator's trace vanishes in
-    finite dimension, so PSD forces it to zero.
+    The minimum eigenvalue of the one operator block of all n shifts
+    (`operator_hypo_block`), and the largest pairwise commutator norm among
+    the shifts and their adjoints. For n == 1 the commutator alone decides:
+    the self-commutator's trace vanishes in finite dimension, so PSD forces
+    it to zero.
     """
     ts = [np.asarray(t, dtype=complex) for t in shifts.shifts]
     n = len(ts)
     scale = max(1.0, max(np.linalg.norm(t, 2) for t in ts) ** 2)
     comm = _max_commutator(ts + [t.conj().T for t in ts])
-    min_eig = np.inf
-    for i, j in variable_pairs(n):
-        pair = [ts[i - 1]] if i == j else [ts[i - 1], ts[j - 1]]
-        vals, _ = linalg.hermitian_eig(operator_hypo_block(*pair), tol=1e-6)
-        min_eig = min(min_eig, float(vals[0]))
+    min_eig = float(linalg.hermitian_eig(operator_hypo_block(*ts), tol=1e-6).values[0])
     passed = comm <= tol * scale and (n == 1 or min_eig >= -tol * scale)
     return HyponormalityCheck(
-        min_eig=float(min_eig), commutator_norm=float(comm), passed=bool(passed)
+        min_eig=min_eig, commutator_norm=float(comm), passed=bool(passed)
     )
 
 
@@ -425,13 +421,16 @@ def simultaneous_diagonalize(shifts, seed=0, tol=1e-8):
 def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
     """Run the full extraction pipeline on a truncated moment sequence.
 
-    Every rank, the root or Takagi factor and the certification scale come
-    from the decompositions `seq` keeps, so what a caller such as `interpolate`
-    factored is not factored again. Every step gathers y from the array of `seq`.
+    M_d, every rank, the root or Takagi factor and the certification scale
+    come from what `seq` keeps (`seq.matrix(d)` and its decompositions), so
+    what a caller such as `interpolate` gathered or factored is not done
+    again. Every other step gathers y from the array of `seq`.
 
-    Returns (AtomicMeasure, ExtractionReport); raises an ExtractionError
-    subclass (carrying the partial report) when the data does not admit the
-    construction, and OrderTooSmall for an order d < 1, which has no shifts.
+    Returns (AtomicMeasure, ExtractionReport). Raises an ExtractionError
+    subclass when the data does not admit the construction; every error
+    raised once M_d is gathered carries the partial report as `.report`.
+    An order d < 1, which has no shifts, raises OrderTooSmall, and an
+    absent moment of M_d MissingMoment, both without a report.
     """
     tol = tol or Tolerances()
     d = seq.d if d is None else d
@@ -442,8 +441,18 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
     if mode not in (CONJUGATE, TRANSPOSE):
         raise ValueError(f"unknown mode {mode!r}")
 
+    mm = seq.matrix(d)
     report = ExtractionReport(d=d, dk=dk, mode=mode)
-    mm = moment_matrix(seq, d)
+    try:
+        return _extract(seq, mm, report, seed, tol)
+    except MomextError as exc:
+        exc.report = report
+        raise
+
+
+def _extract(seq, mm, report, seed, tol):
+    """The steps of `extract_measure` on M_d = mm, filling in `report`."""
+    d, dk, mode = report.d, report.dk, report.mode
     report.structure = classify_structure(mm, tol.struct_tol)
 
     if mode == CONJUGATE:
@@ -460,10 +469,7 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
     report.rank = flat.r_d
 
     if not flat.flat_1:
-        raise NotFlat(
-            f"rank M_{d}(y) = {flat.r_d} != rank M_{d - 1}(y) = {flat.r_dm1}",
-            report,
-        )
+        raise NotFlat(f"rank M_{d}(y) = {flat.r_d} != rank M_{d - 1}(y) = {flat.r_dm1}")
 
     if mode == CONJUGATE:
         x = linalg.psd_root_factor(mm.matrix, tol.psd_tol, tol.rank_tol, eig=eig)
@@ -474,15 +480,9 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
     basis = linalg.column_basis(x, tol.rank_tol)
     if len(basis) != x.shape[0]:
         raise BasisDegenerate(
-            f"found {len(basis)} independent columns for a rank-{x.shape[0]} factor",
-            report,
-        )
+            f"found {len(basis)} independent columns for a rank-{x.shape[0]} factor")
 
-    try:
-        shifts = compute_shifts(x, mm.col_labels, basis, mode, tol.shift_tol)
-    except (ShiftInconsistent, BasisDegenerate) as exc:
-        exc.report = report
-        raise
+    shifts = compute_shifts(x, mm.col_labels, basis, mode, tol.shift_tol)
     report.shift_residual = shifts.residual
 
     if mode == CONJUGATE:
@@ -493,9 +493,7 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
             raise NotHyponormal(
                 f"operator block min eigenvalue {hypo.min_eig:.6f}, commutator "
                 f"norm {hypo.commutator_norm:.6f}: shifts are not jointly "
-                f"hyponormal, no atomic measure exists for this data",
-                report,
-            )
+                f"hyponormal, no atomic measure exists for this data")
     else:
         sym_resid = max(
             np.linalg.norm(t - t.T) / max(1.0, np.linalg.norm(t)) for t in shifts.shifts
@@ -507,17 +505,9 @@ def extract_measure(seq, d=None, dk=1, mode=None, seed=0, tol=None):
         if sym_resid > tol.hypo_tol or comm > tol.hypo_tol * scale:
             raise NotHyponormal(
                 f"transpose-mode shifts fail symmetry ({sym_resid:.3e}) or "
-                f"commutation ({comm:.3e})",
-                report,
-            )
+                f"commutation ({comm:.3e})")
 
-    try:
-        p, coords = simultaneous_diagonalize(
-            shifts, seed=seed, tol=tol.offdiag_tol
-        )
-    except (DegenerateCombination, IsotropicEigenvector) as exc:
-        exc.report = report
-        raise
+    p, coords = simultaneous_diagonalize(shifts, seed=seed, tol=tol.offdiag_tol)
 
     x0 = x[:, 0]
     atoms, weights = [], []
@@ -566,17 +556,14 @@ def _certify(seq, report, flat, tol, scale):
     return "rank_preserved_uncertified"
 
 
-def data_hyponormality_spectra(seq, dk):
-    """{(i, j): ascending eigenvalues} of the data-level hyponormality blocks
-    at gap dk."""
-    return {(i, j): linalg.hermitian_eig(hyponormality_block(seq, dk, i, j).matrix,
-                                         tol=np.inf).values
-            for i, j in variable_pairs(seq.n)}
+def data_hyponormality_spectrum(seq, dk):
+    """Ascending eigenvalues of the data-level hyponormality block at gap dk."""
+    return linalg.hermitian_eig(hyponormality_block(seq, dk).matrix, tol=np.inf).values
 
 
 def data_hyponormality_min_eig(seq, dk):
-    """Smallest eigenvalue over the data-level hyponormality blocks at gap dk."""
-    return min(float(vals[0]) for vals in data_hyponormality_spectra(seq, dk).values())
+    """Smallest eigenvalue of the data-level hyponormality block at gap dk."""
+    return float(data_hyponormality_spectrum(seq, dk)[0])
 
 
 def verify_measure(measure, seq):

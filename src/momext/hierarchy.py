@@ -31,7 +31,6 @@ from .moment import (
     index_count,
     layout,
     moment_matrix,
-    variable_pairs,
 )
 
 __all__ = [
@@ -320,9 +319,9 @@ def assemble_relaxation(problem, d, enforce_hyponormality=False):
 
     Blocks: M_d(y) plus one localizing block per inequality constraint;
     equality constraints (and y[0,0] = 1) become linear equality rows.
-    With enforcement on, one joint-hyponormality block per variable pair is
-    added with sub-blocks of order d-1, matching the strongest data-level
-    condition expressible at order d.
+    With enforcement on, one joint-hyponormality block of all n variables
+    (`moment.hyponormality_grid`) is added with sub-blocks of order d-1,
+    matching the strongest data-level condition expressible at order d.
     """
     n = problem.n
     for what, need in (("constraint", problem.d_K), ("objective", problem.objective_order)):
@@ -346,11 +345,9 @@ def assemble_relaxation(problem, d, enforce_hyponormality=False):
     eq_rows.append((_functional(rmap, {(zero, zero): 1.0}).real, 1.0))
 
     if enforce_hyponormality:
-        for i_var, j_var in variable_pairs(n):
-            cells = [[[(gamma, delta, 1.0)] for gamma, delta in row]
-                     for row in hyponormality_grid(n, i_var, j_var)]
-            name = "hypo:uni" if n == 1 else f"hypo:{i_var},{j_var}"
-            blocks.append(_shifted_block(name, rmap, d - 1, cells))
+        cells = [[[(gamma, delta, 1.0)] for gamma, delta in row] for row in hyponormality_grid(n)]
+        name = "hypo:uni" if n == 1 else "hypo:" + ",".join(map(str, range(1, n + 1)))
+        blocks.append(_shifted_block(name, rmap, d - 1, cells))
 
     acc = _functional(rmap, problem.objective.terms)
     if np.any(np.abs(acc.imag) > 1e-9 * np.maximum(1.0, np.abs(acc))):

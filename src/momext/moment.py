@@ -2,8 +2,8 @@
 
 Indices are plain tuples of nonnegative ints ordered graded-lexicographically
 (total degree first, then lexicographic with the first variable highest).
-A MomentSequence decomposes each of its moment matrices once, for every
-caller, and stores the raw truncated data in one of two modes:
+A MomentSequence gathers and decomposes each of its moment matrices once,
+for every caller, and stores the raw truncated data in one of two modes:
 
 * ``paired``  -- keys are (alpha, beta) pairs, values y[alpha, beta];
 * ``hankel``  -- keys are single indices, values y[alpha] (interpolation data).
@@ -153,27 +153,18 @@ def layout(n, d):
     return Layout(n, d)
 
 
-def variable_pairs(n):
-    """Variable pairs (i, j), 1-based, with one hyponormality block each."""
-    if n == 1:
-        return [(1, 1)]
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
-def hyponormality_grid(n, i, j):
-    """Shift pairs (gamma, delta) of the hyponormality block of variables (i, j).
+def hyponormality_grid(n):
+    """Shift pairs (gamma, delta) of the joint-hyponormality block of n variables.
 
     Cell (r, s) is the sub-block y[alpha + gamma, beta + delta] with gamma
-    the s-th and delta the r-th of 0, e_i, e_j: a 3x3 grid, or the 2x2
-    univariate form for n == 1 or i == j.
+    the s-th and delta the r-th of 0, e_1, ..., e_n: an (n+1) x (n+1) grid,
+    the 2x2 univariate form for n == 1. Laid out over shift operators
+    (cell S_s^* S_r, S_0 = I), its Schur complement on the zero-shift cell
+    is ([S_j^*, S_i])_{i,j}, so it is PSD exactly when the n-tuple is
+    jointly hyponormal (Athavale 1988; Curto 1990). The grid over 0, e_i,
+    e_j of one variable pair is a principal submatrix of it.
     """
-    if n == 1 or i == j:
-        units = [unit_index(n, i)]
-    elif 1 <= i < j <= n:
-        units = [unit_index(n, i), unit_index(n, j)]
-    else:
-        raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}")
-    shifts = [(0,) * n] + units
+    shifts = [(0,) * n] + [unit_index(n, k) for k in range(1, n + 1)]
     return [[(gamma, delta) for gamma in shifts] for delta in shifts]
 
 
@@ -190,7 +181,8 @@ class MomentSequence:
     layout(n, 2d) for Hankel data. `present` marks the slots whose key was
     given. A key beyond order d raises ValueError. Graded-lex labels make
     the matrices of every order gathers from `array` through `read`.
-    `eig(t)` and `takagi(t, tol)` decompose each M_t once, for every caller.
+    `matrix(t)` gathers each M_t once, and `eig(t)` and `takagi(t, tol)`
+    decompose it once, for every caller.
     """
 
     n: int
@@ -216,19 +208,26 @@ class MomentSequence:
         self.present = np.zeros(self.array.size, dtype=bool)
         self.present[slots] = True
         self.array.flags.writeable = self.present.flags.writeable = False
-        self._eigs, self._takagis = {}, {}  # t: EigResult, t: (checked tol, TakagiResult)
+        # t: MomentMatrix, t: EigResult, t: (checked tol, TakagiResult)
+        self._matrices, self._eigs, self._takagis = {}, {}, {}
+
+    def matrix(self, t):
+        """`moment_matrix(self, t)`, gathered once per order t; its matrix is read-only."""
+        if t not in self._matrices:
+            self._matrices[t] = moment_matrix(self, t)
+            self._matrices[t].matrix.flags.writeable = False
+        return self._matrices[t]
 
     def eig(self, t):
         """`linalg.hermitian_eig(M_t(y), tol=np.inf)`, computed once per order t; read-only."""
         if t not in self._eigs:
-            m = moment_matrix(self, t).matrix
-            self._eigs[t] = _frozen(linalg.hermitian_eig(m, tol=np.inf))
+            self._eigs[t] = _frozen(linalg.hermitian_eig(self.matrix(t).matrix, tol=np.inf))
         return self._eigs[t]
 
     def takagi(self, t, tol=np.inf):
         """`linalg.takagi(M_t(y), tol)`, reusing a kept result checked at tol or more strictly."""
         if t not in self._takagis or self._takagis[t][0] > tol:
-            self._takagis[t] = (tol, _frozen(linalg.takagi(moment_matrix(self, t).matrix, tol)))
+            self._takagis[t] = (tol, _frozen(linalg.takagi(self.matrix(t).matrix, tol)))
         return self._takagis[t][1]
 
     def get(self, alpha, beta):
@@ -429,18 +428,15 @@ def classify_structure(m, tol=1e-9):
                           toeplitz=agrees(rows - cols))
 
 
-def hyponormality_block(seq, dk, i, j):
-    """Data-level joint-hyponormality block for the variable pair (i, j).
-
-    Built from M_{d-dk}-sized sub-blocks; for n == 1 (i == j == 1) the
-    two-by-two univariate form is produced instead of the three-by-three one.
-    """
+def hyponormality_block(seq, dk):
+    """Data-level joint-hyponormality block of all n variables, laid out by
+    `hyponormality_grid(n)` with M_{d-dk}-sized sub-blocks."""
     if dk < 1:
         raise OrderTooSmall("hyponormality block needs a gap dk >= 1")
     h = seq.d - dk
     if h < 0:
         raise OrderTooSmall(f"gap dk={dk} exceeds data order d={seq.d}")
-    grid = hyponormality_grid(seq.n, i, j)
+    grid = hyponormality_grid(seq.n)
     lay = layout(seq.n, seq.d)
     m = np.block([[seq.read(lay.shift(gamma, h), lay.shift(delta, h), seq.d)
                    for gamma, delta in row] for row in grid])

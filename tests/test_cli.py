@@ -112,7 +112,7 @@ class TestCheckCommand:
         assert len(seen) == len(set(seen))
 
     def test_data_hypo_min_eig_is_the_least_printed_eigenvalue(self, tmp_path):
-        # three variables: one block per pair (1,2), (1,3), (2,3)
+        # three variables: one joint block of 4 x 4 cells of M_1 size (4 x 4)
         rng = np.random.default_rng(4)
         atoms = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         seq = pd.brute_moments_paired(atoms, [0.1, 0.2, 0.3, 0.4], n=3, d=2)
@@ -120,9 +120,9 @@ class TestCheckCommand:
                           "--format", "structured"])
         rows = dict(line.split(" ", 1) for line in text.strip().splitlines())
         spectra = [k for k in rows if k.startswith("data_hypo_spectrum.")]
-        assert code == 0 and len(spectra) == 3
-        assert rows["data_hypo_min_eig"] == min(
-            (rows[k].split()[0] for k in spectra), key=float)
+        assert code == 0 and spectra == ["data_hypo_spectrum.1,2,3"]
+        assert len(rows[spectra[0]].split()) == 16
+        assert rows["data_hypo_min_eig"] == rows[spectra[0]].split()[0]
 
     def test_hankel_spectrum_is_the_takagi_values(self):
         # the values the ranks come from, not the eigenvalues of the Hermitian part
@@ -519,6 +519,15 @@ class TestHankelModeExtract:
             code, text = run(["extract", demo(name), "--format", "structured"])
             assert code == 0 and f"extraction.mode {mode}\n" in text
             assert ("extraction.moment_min_eig" in text) == present, mode
+
+    def test_root_factor_error_emits_the_partial_report(self):
+        # complex symmetric Hankel data is not Hermitian: the root factor
+        # refuses it after the ranks and flags are known, and they are printed
+        code, text = run(["extract", demo("example7_grid.momseq"), "--mode", "conjugate",
+                          "--format", "structured"])
+        rows = dict(line.split(" ", 1) for line in text.strip().splitlines())
+        assert code == 18
+        assert rows["extraction.ranks"] == "1 2 2" and rows["error"] == "NotHermitian"
 
     def test_conjugate_mode_on_hankel_matches(self, tmp_path):
         seq = pd.ex6_seq(mode="hankel")

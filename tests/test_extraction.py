@@ -151,6 +151,22 @@ class TestCheckHyponormality:
         meas, rep = extract_measure(pd.ex5_seq(3), dk=3, tol=Tolerances())
         assert rep.hypo_commutator <= 1e-8
 
+    def test_three_variable_measures_pass_the_joint_block(self):
+        # the shifts of a true measure are jointly hyponormal: one 4 x 4-cell
+        # operator block over 0, e_1, e_2, e_3, PSD up to round-off
+        from momext.extraction import operator_hypo_block
+
+        rng = np.random.default_rng(41)
+        for r in (1, 2, 3, 4):
+            atoms = rng.standard_normal((r, 3)) + 1j * rng.standard_normal((r, 3))
+            seq = pd.brute_moments_paired(atoms, rng.uniform(0.2, 1.0, r), n=3, d=2)
+            x = linalg.psd_root_factor(moment_matrix(seq, 2).matrix)
+            fam = compute_shifts(x, enumerate_indices(3, 2), linalg.column_basis(x),
+                                 CONJUGATE)
+            res = check_hyponormality(fam)
+            assert res.passed and res.min_eig >= -1e-9
+            assert operator_hypo_block(*fam.shifts).shape == (4 * r, 4 * r)
+
 
 class TestSimultaneousDiagonalize:
     def test_example3_printed_combination(self):
@@ -207,6 +223,29 @@ class TestExtractMeasure:
         _, rep = extract_measure(seq, dk=1)
         assert rep.certification == "certified"
         assert sizes.count(10) == 1
+
+    @pytest.mark.parametrize("hankel", [False, True])
+    def test_each_moment_matrix_gathered_once(self, monkeypatch, hankel):
+        # the sequence keeps M_t next to its decompositions; the extraction
+        # and its ranks read it from there
+        from momext import moment
+        from momext.interp import sample_grid
+
+        seq = (sample_grid(pd.ex7_model(), 2) if hankel
+               else pd.brute_moments_paired(pd.EX3_ATOMS, [0.3, 0.7], n=2, d=3))
+        orders = []
+        original = moment.moment_matrix
+
+        def counting(s, t):
+            orders.append(t)
+            return original(s, t)
+
+        monkeypatch.setattr(moment, "moment_matrix", counting)
+        _, rep = extract_measure(seq, dk=1)
+        assert rep.certification == "certified"
+        assert sorted(orders) == list(range(seq.d + 1))
+        assert seq.matrix(seq.d) is seq.matrix(seq.d)
+        assert not seq.matrix(seq.d).matrix.flags.writeable
 
     def test_one_takagi_of_the_hankel_matrix_in_transpose_mode(self, monkeypatch):
         # H_2 is 6x6 for n = 2: its Takagi factorization gives both the rank

@@ -137,7 +137,8 @@ class TestEnforcementPaths:
 
     def test_three_variable_problem_end_to_end(self):
         # min sum |z_k - c_k|^2 inside a ball: unique minimizer at c,
-        # exercised with and without the three pairwise hypoblocks
+        # exercised with and without the joint hyponormality block of the
+        # three variables
         from momext.extraction import Tolerances, extract_measure
         from momext.sdp import solve
 
@@ -162,7 +163,8 @@ class TestEnforcementPaths:
             sdp, rmap = assemble_relaxation(problem, 1,
                                             enforce_hyponormality=enforce)
             if enforce:
-                assert sum(b.name.startswith("hypo") for b in sdp.blocks) == 3
+                hypo = [b for b in sdp.blocks if b.name.startswith("hypo")]
+                assert [(b.name, b.size) for b in hypo] == [("hypo:1,2,3", 4)]
             sol = solve(realify(sdp))
             assert abs(sol.primal_objective) <= 1e-5
             measure, report = extract_measure(
@@ -205,11 +207,8 @@ class TestBlocksMatchDataSide:
         expected = {"moment": moment_matrix(seq, d).matrix}
         for ci, con in enumerate(problem.constraints):
             expected[f"localizing:{ci}"] = localizing_matrix(seq, con.poly, d).matrix
-        if n == 1:
-            expected["hypo:uni"] = hyponormality_block(seq, 1, 1, 1).matrix
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                expected[f"hypo:{i},{j}"] = hyponormality_block(seq, 1, i, j).matrix
+        name = {1: "hypo:uni", 2: "hypo:1,2", 3: "hypo:1,2,3"}[n]
+        expected[name] = hyponormality_block(seq, 1).matrix
         assert [b.name for b in sdp.blocks] == list(expected)
         for block in sdp.blocks:
             np.testing.assert_allclose(block.evaluate(x), expected[block.name],
@@ -425,7 +424,7 @@ def test_relaxation_assembly_memory_stays_sparse():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [b.size for b in real.blocks] == [40, 20, 60, 60, 60]
+    assert [b.size for b in real.blocks] == [40, 20, 80]  # one joint block of 4 x 10 rows
     assert peak < 10e6
 
 

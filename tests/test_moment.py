@@ -219,7 +219,7 @@ class TestClassifyStructure:
 
 class TestHyponormalityBlock:
     def test_example3_spectrum(self):
-        blk = hyponormality_block(pd.ex3_seq(), dk=2, i=1, j=2)
+        blk = hyponormality_block(pd.ex3_seq(), dk=2)
         assert blk.matrix.shape == (9, 9)
         vals, _ = linalg.hermitian_eig((blk.matrix + blk.matrix.conj().T) / 2,
                                        tol=np.inf)
@@ -227,7 +227,7 @@ class TestHyponormalityBlock:
         np.testing.assert_allclose(vals[-2:], pd.EX3_DATA_SPECTRUM_TOP, atol=1e-3)
 
     def test_example2_spectrum(self):
-        blk = hyponormality_block(pd.ex2_seq(), dk=1, i=1, j=2)
+        blk = hyponormality_block(pd.ex2_seq(), dk=1)
         vals, _ = linalg.hermitian_eig((blk.matrix + blk.matrix.conj().T) / 2,
                                        tol=np.inf)
         np.testing.assert_allclose(vals, pd.EX2_DATA_SPECTRUM, atol=1e-3)
@@ -235,28 +235,47 @@ class TestHyponormalityBlock:
     def test_univariate_dirac_rank_one_psd(self):
         c = 0.7 - 0.3j
         seq = pd.brute_moments_paired([(c,)], [1.3], n=1, d=2)
-        blk = hyponormality_block(seq, dk=1, i=1, j=1)
+        blk = hyponormality_block(seq, dk=1)
+        assert blk.matrix.shape == (4, 4)  # the 2x2 univariate grid of M_1-sized cells
         vals, _ = linalg.hermitian_eig(blk.matrix, tol=1e-8)
         assert vals[0] >= -1e-12
         assert linalg.numeric_rank(vals, 1e-10) == 1
 
     def test_measure_data_always_psd(self):
+        # the one joint block of all n variables: (n+1) x (n+1) cells of
+        # M_{d-dk} size, at every gap
         rng = np.random.default_rng(12)
-        for n in (2, 3):
+        draws = [(2, 3, 2), (3, 3, 2)] + [(3, r, 3) for r in (1, 2, 3, 4) for _ in range(5)]
+        for n, r, d in draws:
             atoms = [tuple(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-                     for _ in range(3)]
-            weights = rng.uniform(0.1, 1.0, 3)
-            seq = pd.brute_moments_paired(atoms, weights, n=n, d=2)
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    blk = hyponormality_block(seq, 1, i, j).matrix
-                    vals, _ = linalg.hermitian_eig((blk + blk.conj().T) / 2,
-                                                   tol=1e-8)
-                    assert vals[0] >= -1e-9 * max(1.0, abs(vals).max())
+                     for _ in range(r)]
+            weights = rng.uniform(0.1, 1.0, r)
+            seq = pd.brute_moments_paired(atoms, weights, n=n, d=d)
+            for dk in range(1, d):
+                blk = hyponormality_block(seq, dk).matrix
+                assert blk.shape == ((n + 1) * len(enumerate_indices(n, d - dk)),) * 2
+                vals, _ = linalg.hermitian_eig((blk + blk.conj().T) / 2, tol=1e-8)
+                assert vals[0] >= -1e-9 * max(1.0, abs(vals).max())
+
+    def test_each_pair_block_is_a_principal_submatrix(self):
+        # the 3x3 grid over 0, e_i, e_j of a pair, gathered by brute force,
+        # is the joint block restricted to its cells 0, i, j
+        n, d, dk = 3, 3, 1
+        seq = _random_sequence(np.random.default_rng(31), n, d, "paired")
+        sub = enumerate_indices(n, d - dk)
+        m = len(sub)
+        joint = hyponormality_block(seq, dk).matrix
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            shifts = [(0,) * n, _unit(n, i), _unit(n, j)]
+            pair = np.array([[seq.get(index_add(a, gamma), index_add(b, delta))
+                              for gamma in shifts for b in sub]
+                             for delta in shifts for a in sub])
+            cells = np.concatenate([np.arange(c * m, (c + 1) * m) for c in (0, i, j)])
+            np.testing.assert_array_equal(joint[np.ix_(cells, cells)], pair)
 
     def test_gap_too_large(self):
         with pytest.raises(OrderTooSmall):
-            hyponormality_block(pd.ex1_seq(), dk=3, i=1, j=1)
+            hyponormality_block(pd.ex1_seq(), dk=3)
 
 
 def _unit(n, k):
@@ -311,20 +330,17 @@ class TestGathersMatchBruteForce:
             np.testing.assert_allclose(localizing_matrix(seq, g, t).matrix, ref,
                                        rtol=0, atol=1e-13)
 
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        shifts = [(0,) * n] + [_unit(n, k) for k in range(1, n + 1)]
         for dk in range(1, d + 1):  # blocks of every order d - dk < d
             sub = enumerate_indices(n, d - dk)
-            for i, j in pairs:
-                units = [_unit(n, i)] if i == j else [_unit(n, i), _unit(n, j)]
-                shifts = [(0,) * n] + units
-                ref = np.array([
-                    [seq.get(index_add(a, gamma), index_add(b, delta))
-                     for gamma in shifts for b in sub]
-                    for delta in shifts for a in sub
-                ])
-                blk = hyponormality_block(seq, dk, i, j)
-                np.testing.assert_array_equal(blk.matrix, ref)
-                assert blk.row_labels == sub * len(shifts)
+            ref = np.array([
+                [seq.get(index_add(a, gamma), index_add(b, delta))
+                 for gamma in shifts for b in sub]
+                for delta in shifts for a in sub
+            ])
+            blk = hyponormality_block(seq, dk)
+            np.testing.assert_array_equal(blk.matrix, ref)
+            assert blk.row_labels == sub * len(shifts)
 
     @pytest.mark.parametrize("mode", ["paired", "hankel"])
     @pytest.mark.parametrize("n", [1, 2, 3])

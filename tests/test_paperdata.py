@@ -42,7 +42,7 @@ def test_printed_factor_example7_matches_samples():
 
 
 def test_example4_plain_data_block_spectrum():
-    blk = hyponormality_block(pd.ex4_plain_seq(), dk=1, i=1, j=2).matrix
+    blk = hyponormality_block(pd.ex4_plain_seq(), dk=1).matrix
     vals, _ = linalg.hermitian_eig((blk + blk.conj().T) / 2.0, tol=np.inf)
     assert abs(vals[0] - pd.EX4_PLAIN_DATA_MIN_EIG) <= 1e-2
     assert abs(vals[-1] - 8.1869) <= 1e-2
@@ -51,7 +51,7 @@ def test_example4_plain_data_block_spectrum():
 def test_example4_enforced_data_block_concentrates():
     # the enforced rank-one solution puts the whole data-block mass on one
     # eigenvalue (reference spectrum: eight zeros and 16.0)
-    blk = hyponormality_block(pd.ex4_enforced_seq(), dk=1, i=1, j=2).matrix
+    blk = hyponormality_block(pd.ex4_enforced_seq(), dk=1).matrix
     vals, _ = linalg.hermitian_eig((blk + blk.conj().T) / 2.0, tol=np.inf)
     assert abs(vals[-1] - 16.0) <= 1e-2
     assert np.abs(vals[:-1]).max() <= 1e-2

@@ -1,7 +1,7 @@
 """Print one exact fingerprint line per SDP solve, for bit-for-bit comparison.
 
 Solves every demo problem at relaxation orders 3 and 4, plain and with the
-hyponormality blocks enforced, then rounds 0-9 of the benchmark's pop_ball
+joint-hyponormality block enforced, then rounds 0-9 of the benchmark's pop_ball
 draw at seed 1 (three instances a round). Each line holds the label, the
 solver status, the iteration count and the SHA-256 of the hex floats of
 `variables`, `history` and `steps`. The reports of `tools/demo_reports.py`

@@ -12,6 +12,7 @@ The sequence keeps every decomposition of M_t(y) that ranks and factors read.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,6 +122,11 @@ class ShiftFamily:
     mode: str
     r: int
     residual: float  # max relative shift residual over all testable columns
+
+    @functools.cached_property
+    def norms(self):
+        """Spectral norm of each shift, from one stacked SVD, for every test that scales by it."""
+        return np.linalg.svd(np.asarray(self.shifts, dtype=complex), compute_uv=False)[:, 0]
 
 
 @dataclass
@@ -258,7 +264,7 @@ def compute_shifts(x, labels, basis, mode, tol=1e-6):
                 f"basis label {labels[bi]} has no shifted column for variable 1"
             )
     # targets[k][i]: the column of label i shifted by e_{k+1}
-    targets = [lay.shift(unit_index(n, k), d - 1) for k in range(1, n + 1)]
+    targets = np.stack([lay.shift(unit_index(n, k), d - 1) for k in range(1, n + 1)])
     b = x[:, basis]
     shifts = []
     for target in targets:
@@ -269,12 +275,9 @@ def compute_shifts(x, labels, basis, mode, tol=1e-6):
             raise BasisDegenerate("basis columns are numerically singular") from None
         shifts.append(t)
 
-    xnorm = max(np.linalg.norm(x), 1e-300)
-    worst = 0.0
-    for t, target in zip(shifts, targets):
-        for i, j in enumerate(target):
-            resid = np.linalg.norm(t @ x[:, i] - x[:, j])
-            worst = max(worst, resid / xnorm)
+    # column i of shift k's residual: T_k x_i - x_{targets[k][i]}, |label i| <= d-1
+    resid = np.stack(shifts) @ x[:, : lay.size(d - 1)] - x[:, targets].transpose(1, 0, 2)
+    worst = float(np.linalg.norm(resid, axis=1).max()) / max(np.linalg.norm(x), 1e-300)
     if worst > tol:
         raise ShiftInconsistent(
             f"shift residual {worst:.6e} exceeds {tol:.1e}; the shift operators "
@@ -305,12 +308,10 @@ def operator_hypo_block(*shifts):
 
 
 def _max_commutator(ops):
-    """Largest Frobenius norm of a pairwise commutator among ops."""
-    comm = 0.0
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            comm = max(comm, np.linalg.norm(ops[i] @ ops[j] - ops[j] @ ops[i]))
-    return comm
+    """Largest Frobenius norm of a pairwise commutator among ops, from one stacked product."""
+    ops = np.asarray(ops, dtype=complex)
+    products = ops[:, None] @ ops[None, :]  # (i, j): ops[i] @ ops[j]
+    return float(np.linalg.norm(products - products.swapaxes(0, 1), axis=(2, 3)).max())
 
 
 def check_hyponormality(shifts, tol=1e-6):
@@ -324,9 +325,9 @@ def check_hyponormality(shifts, tol=1e-6):
     """
     ts = [np.asarray(t, dtype=complex) for t in shifts.shifts]
     n = len(ts)
-    scale = max(1.0, max(np.linalg.norm(t, 2) for t in ts) ** 2)
+    scale = max(1.0, shifts.norms.max() ** 2)
     comm = _max_commutator(ts + [t.conj().T for t in ts])
-    min_eig = float(linalg.hermitian_eig(operator_hypo_block(*ts), tol=1e-6).values[0])
+    min_eig = float(linalg.hermitian_eigvals(operator_hypo_block(*ts), tol=1e-6)[0])
     passed = comm <= tol * scale and (n == 1 or min_eig >= -tol * scale)
     return HyponormalityCheck(
         min_eig=min_eig, commutator_norm=float(comm), passed=bool(passed)
@@ -341,12 +342,13 @@ def _unitary_diagonalizer(a, offdiag_tol):
     the caller to redraw.
     """
     p = linalg._joint_eigh((a + a.conj().T) / 2.0, (a - a.conj().T) / 2.0j, 1e-9)
-    return None if _off_diagonal(p.conj().T @ a @ p, a, offdiag_tol) else p
+    return None if _off_diagonal(p.conj().T @ a @ p, np.linalg.norm(a, 2), offdiag_tol) else p
 
 
-def _off_diagonal(e, a, tol):
-    """True when the off-diagonal part of e = P^bullet a P exceeds tol * max(1, ||a||_2)."""
-    return np.linalg.norm(e - np.diag(np.diag(e))) > tol * max(1.0, np.linalg.norm(a, 2))
+def _off_diagonal(e, norm, tol):
+    """True when the off-diagonal part of e = P^bullet a P exceeds tol * max(1, norm),
+    norm being ||a||_2."""
+    return np.linalg.norm(e - np.diag(np.diag(e))) > tol * max(1.0, norm)
 
 
 def _orthogonal_diagonalizer(a, offdiag_tol):
@@ -364,7 +366,7 @@ def _orthogonal_diagonalizer(a, offdiag_tol):
             return "isotropic", None
         p[:, idx] = v / np.sqrt(bil)
     if (np.linalg.norm(p.T @ p - np.eye(a.shape[0])) > offdiag_tol * a.shape[0]
-            or _off_diagonal(p.T @ a @ p, a, offdiag_tol)):
+            or _off_diagonal(p.T @ a @ p, np.linalg.norm(a, 2), offdiag_tol)):
         return "retry", None
     return "ok", p
 
@@ -406,7 +408,7 @@ def simultaneous_diagonalize(shifts, seed=0, tol=1e-8):
         if dmin < 1e-6 * spread:
             continue
         es = [bullet @ mk @ p for mk in ts]
-        if any(_off_diagonal(e, mk, max(tol, 1e-6)) for e, mk in zip(es, ts)):
+        if any(_off_diagonal(e, norm, max(tol, 1e-6)) for e, norm in zip(es, shifts.norms)):
             continue
         return p, [np.diag(e).copy() for e in es]
     if last_isotropic:
@@ -501,7 +503,7 @@ def _extract(seq, mm, report, seed, tol):
         report.shift_symmetry = float(sym_resid)
         comm = _max_commutator(shifts.shifts)
         report.hypo_commutator = float(comm)
-        scale = max(1.0, max(np.linalg.norm(t, 2) for t in shifts.shifts) ** 2)
+        scale = max(1.0, shifts.norms.max() ** 2)
         if sym_resid > tol.hypo_tol or comm > tol.hypo_tol * scale:
             raise NotHyponormal(
                 f"transpose-mode shifts fail symmetry ({sym_resid:.3e}) or "
@@ -558,7 +560,7 @@ def _certify(seq, report, flat, tol, scale):
 
 def data_hyponormality_spectrum(seq, dk):
     """Ascending eigenvalues of the data-level hyponormality block at gap dk."""
-    return linalg.hermitian_eig(hyponormality_block(seq, dk).matrix, tol=np.inf).values
+    return linalg.hermitian_eigvals(hyponormality_block(seq, dk).matrix, tol=np.inf)
 
 
 def data_hyponormality_min_eig(seq, dk):
@@ -623,7 +625,7 @@ def feasibility_report(measure, problem, tol=1e-6, seq=None, dk=None):
         if rank_d is not None:
             try:
                 loc = localizing_matrix(seq, con.poly, seq.d - dk + con.poly.k)
-                lvals, _ = linalg.hermitian_eig(loc.matrix, tol=np.inf)
+                lvals = linalg.hermitian_eigvals(loc.matrix, tol=np.inf)
                 expected = rank_d - linalg.numeric_rank(lvals, 1e-5)
             except (MissingMoment, OrderTooSmall):
                 expected = None

@@ -20,6 +20,7 @@ __all__ = [
     "EigResult",
     "TakagiResult",
     "hermitian_eig",
+    "hermitian_eigvals",
     "numeric_rank",
     "psd_root_factor",
     "takagi",
@@ -56,12 +57,20 @@ def _check_hermitian(a, tol):
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds {tol:.1e} * ||a||")
 
 
-def _eigh(a):
-    """np.linalg.eigh, with LAPACK's failure to converge as NoConvergence."""
+def _eigh(a, values_only=False):
+    """np.linalg.eigh, or eigvalsh for the values alone, with LAPACK's failure
+    to converge as NoConvergence."""
     try:
-        return np.linalg.eigh(a)
+        return np.linalg.eigvalsh(a) if values_only else np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh did not converge: {exc}") from None
+
+
+def _hermitian_part(a, tol):
+    """(a + a^*)/2 of a finite square matrix a whose asymmetry passes `tol`."""
+    a = _as_complex_matrix(a)
+    _check_hermitian(a, tol)
+    return (a + a.conj().T) / 2.0
 
 
 def hermitian_eig(a, tol=1e-9):
@@ -72,15 +81,26 @@ def hermitian_eig(a, tol=1e-9):
     `tol` bounds the accepted Hermitian asymmetry of the input relative to
     its norm; np.inf skips the test.
     """
-    a = _as_complex_matrix(a)
-    n = a.shape[0]
+    work = _hermitian_part(a, tol)
+    n = work.shape[0]
     if n == 0:
         return EigResult(np.zeros(0), np.zeros((0, 0), dtype=complex))
-    _check_hermitian(a, tol)
-    work = (a + a.conj().T) / 2.0
     if n == 1:
         return EigResult(np.array([work[0, 0].real]), np.eye(1, dtype=complex))
     return EigResult(*_eigh(work))
+
+
+def hermitian_eigvals(a, tol):
+    """Ascending eigenvalues of a Hermitian matrix by LAPACK (`np.linalg.eigvalsh`).
+
+    The values of `hermitian_eig(a, tol)`, with the same checks and errors,
+    for callers that read no eigenvector. They may differ from its values
+    in the last bits: LAPACK computes them by another algorithm.
+    """
+    work = _hermitian_part(a, tol)
+    if work.shape[0] <= 1:
+        return work.diagonal().real.copy()
+    return _eigh(work, values_only=True)
 
 
 def numeric_rank(eigenvalues, tol=DEFAULT_RANK_TOL):

@@ -146,6 +146,28 @@ class Layout:
         table.flags.writeable = False
         return table
 
+    @functools.cached_property
+    def first_of_sum(self):
+        """(N, N) table: per entry (p, q), the row-major flat index of the first
+        entry (p', q') with labels[p'] + labels[q'] == labels[p] + labels[q]."""
+        return _first_of_key(self.labels, np.add)
+
+    @functools.cached_property
+    def first_of_difference(self):
+        """(N, N) table as `first_of_sum`, for labels[p] - labels[q]."""
+        return _first_of_key(self.labels, np.subtract)
+
+
+def _first_of_key(labels, op):
+    """Read-only (N, N) table of `first_of_sum`'s kind for the key op(labels[p], labels[q])."""
+    labels = np.array(labels)
+    keys = op(labels[:, None, :], labels[None, :, :]).reshape(-1, labels.shape[1])
+    # the sort behind return_index is stable, so `first` is each key's first entry
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    table = first[inverse.ravel()].reshape(len(labels), len(labels))
+    table.flags.writeable = False
+    return table
+
 
 @functools.lru_cache(maxsize=None)
 def layout(n, d):
@@ -181,7 +203,7 @@ class MomentSequence:
     layout(n, 2d) for Hankel data. `present` marks the slots whose key was
     given. A key beyond order d raises ValueError. Graded-lex labels make
     the matrices of every order gathers from `array` through `read`.
-    `matrix(t)` gathers each M_t once, and `eig(t)` and `takagi(t, tol)`
+    `matrix(t)` builds each M_t once, and `eig(t)` and `takagi(t, tol)`
     decompose it once, for every caller.
     """
 
@@ -212,10 +234,22 @@ class MomentSequence:
         self._matrices, self._eigs, self._takagis = {}, {}, {}
 
     def matrix(self, t):
-        """`moment_matrix(self, t)`, gathered once per order t; its matrix is read-only."""
+        """`moment_matrix(self, t)`, built once per order t; its matrix is read-only.
+
+        With graded-lex labels M_t is the leading block of every M_s, s > t:
+        when one is kept, M_t is a contiguous copy of that block, else a gather.
+        """
         if t not in self._matrices:
-            self._matrices[t] = moment_matrix(self, t)
-            self._matrices[t].matrix.flags.writeable = False
+            larger = [s for s in self._matrices if s > t]
+            if larger:
+                labels = list(layout(self.n, t).labels)
+                size = len(labels)
+                m = MomentMatrix(self._matrices[min(larger)].matrix[:size, :size].copy(),
+                                 labels, labels)
+            else:
+                m = moment_matrix(self, t)
+            m.matrix.flags.writeable = False
+            self._matrices[t] = m
         return self._matrices[t]
 
     def eig(self, t):
@@ -242,25 +276,27 @@ class MomentSequence:
             raise MissingMoment(key) from None
 
     def read(self, rows, cols, order):
-        """y[labels[rows[i]], labels[cols[j]]], or y[labels[rows[i]] + labels[cols[j]]].
+        """y[labels[rows], labels[cols]], or y[labels[rows] + labels[cols]], elementwise.
 
-        `rows` and `cols` are positions in layout(n, order). The first key,
-        in row-major order, that is absent or beyond order d raises
-        MissingMoment.
+        `rows` and `cols` are integer arrays of positions in layout(n, order)
+        that broadcast against each other; the result has their broadcast
+        shape. The first key, in row-major order of that shape, that is
+        absent or beyond order d raises MissingMoment.
         """
         if self.mode == "paired":
             size = index_count(self.n, self.d)
-            slots = rows[:, None] * size + cols
-            beyond = (rows[:, None] >= size) | (cols >= size)
+            slots = rows * size + cols
+            beyond = (rows >= size) | (cols >= size)
         else:
-            slots = layout(self.n, order).sums[np.ix_(rows, cols)]
+            slots = layout(self.n, order).sums[rows, cols]
             beyond = slots >= self.array.size
         slots = np.where(beyond, 0, slots)
         missing = beyond | ~self.present[slots]
         if missing.any():
-            i, j = divmod(int(np.argmax(missing)), len(cols))
+            first = np.unravel_index(int(np.argmax(missing)), missing.shape)
             labels = layout(self.n, order).labels
-            a, b = labels[rows[i]], labels[cols[j]]
+            a = labels[np.broadcast_to(rows, missing.shape)[first]]
+            b = labels[np.broadcast_to(cols, missing.shape)[first]]
             raise MissingMoment((a, b) if self.mode == "paired" else index_add(a, b))
         return self.array[slots]
 
@@ -354,7 +390,7 @@ def moment_matrix(seq, d):
     """M_d(y): entry (alpha, beta) = y_{alpha,beta} (or y_{alpha+beta})."""
     labels = list(layout(seq.n, d).labels)
     every = np.arange(len(labels))
-    return MomentMatrix(seq.read(every, every, d), labels, labels)
+    return MomentMatrix(seq.read(every[:, None], every, d), labels, labels)
 
 
 def hankel_matrix(seq, d):
@@ -377,7 +413,7 @@ def localizing_matrix(seq, g, d):
     labels = list(lay.labels[: lay.size(d - k)])
     m = np.zeros((len(labels), len(labels)), dtype=complex)
     for (gamma, delta), c in g.terms.items():
-        m += c * seq.read(lay.shift(gamma, d - k), lay.shift(delta, d - k), d)
+        m += c * seq.read(lay.shift(gamma, d - k)[:, None], lay.shift(delta, d - k), d)
     return MomentMatrix(m, labels, labels)
 
 
@@ -388,49 +424,36 @@ class StructureFlags:
     toeplitz: bool
 
 
-def _row_codes(keys):
-    """Integer codes of the rows of an integer array: equal exactly for equal rows.
-
-    Mixed-radix digits, one per column; codes are renumbered densely
-    whenever the next digit could overflow int64.
-    """
-    keys = keys - keys.min(axis=0)
-    codes = np.zeros(len(keys), dtype=np.int64)
-    for column in keys.T:
-        radix = int(column.max()) + 1
-        if int(codes.max()) >= np.iinfo(np.int64).max // radix:
-            codes = np.unique(codes, return_inverse=True)[1]
-        codes = codes * radix + column
-    return codes
-
-
 def classify_structure(m, tol=1e-9):
-    """Detect Hermitian / Hankel / Toeplitz structure of a labeled matrix.
+    """Detect Hermitian / Hankel / Toeplitz structure of a moment matrix.
 
     Hankel: entries agree whenever alpha+beta agree; Toeplitz: whenever
     alpha-beta agree. Purely advisory; comparisons use absolute tolerance.
     Each entry is compared with the first entry, in row-major order, that
-    has the same key.
+    has the same key, read from the tables of the matrix's layout. Rows and
+    columns must carry the labels of layout(n, d) (ValueError otherwise).
     """
+    lay = layout(len(m.row_labels[0]), total_degree(m.row_labels[-1]))
+    if not tuple(m.row_labels) == tuple(m.col_labels) == lay.labels:
+        raise ValueError("classify_structure needs a matrix labeled by layout(n, d)")
     a = m.matrix
     hermitian = bool(np.all(np.abs(a - a.conj().T) <= tol))
-    rows = np.asarray(m.row_labels)[:, None, :]
-    cols = np.asarray(m.col_labels)[None, :, :]
     values = a.ravel()
 
-    def agrees(keys):
-        # a stable sort, so `first` is the first entry of each key in row-major order
-        _, first, inverse = np.unique(_row_codes(keys.reshape(values.size, -1)),
-                                      return_index=True, return_inverse=True)
-        return not np.any(np.abs(values - values[first[inverse]]) > tol)
+    def agrees(first):
+        return not np.any(np.abs(values - values[first.ravel()]) > tol)
 
-    return StructureFlags(hermitian=hermitian, hankel=agrees(rows + cols),
-                          toeplitz=agrees(rows - cols))
+    return StructureFlags(hermitian=hermitian, hankel=agrees(lay.first_of_sum),
+                          toeplitz=agrees(lay.first_of_difference))
 
 
 def hyponormality_block(seq, dk):
     """Data-level joint-hyponormality block of all n variables, laid out by
-    `hyponormality_grid(n)` with M_{d-dk}-sized sub-blocks."""
+    `hyponormality_grid(n)` with M_{d-dk}-sized sub-blocks.
+
+    One gather for the whole grid, by cells: an absent moment raises the
+    MissingMoment of the first cell, in row-major grid order, that lacks one.
+    """
     if dk < 1:
         raise OrderTooSmall("hyponormality block needs a gap dk >= 1")
     h = seq.d - dk
@@ -438,9 +461,13 @@ def hyponormality_block(seq, dk):
         raise OrderTooSmall(f"gap dk={dk} exceeds data order d={seq.d}")
     grid = hyponormality_grid(seq.n)
     lay = layout(seq.n, seq.d)
-    m = np.block([[seq.read(lay.shift(gamma, h), lay.shift(delta, h), seq.d)
-                   for gamma, delta in row] for row in grid])
-    labels = list(lay.labels[: lay.size(h)]) * len(grid)
+    # shifted[k]: positions of alpha + (0, e_1, ..., e_n)[k] for |alpha| <= h
+    shifted = np.stack([lay.shift(gamma, h) for gamma, _ in grid[0]])
+    cells, size = shifted.shape
+    # cell (i, j), entry (p, q): y[alpha_p + gamma_j, beta_q + delta_i]
+    gathered = seq.read(shifted[None, :, :, None], shifted[:, None, None, :], seq.d)
+    m = gathered.transpose(0, 2, 1, 3).reshape(cells * size, cells * size)
+    labels = list(lay.labels[: lay.size(h)]) * cells
     return MomentMatrix(m, labels, labels)
 
 

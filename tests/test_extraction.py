@@ -30,7 +30,9 @@ from momext.moment import (
     MomentSequence,
     enumerate_indices,
     index_count,
+    layout,
     moment_matrix,
+    unit_index,
 )
 
 import paperdata as pd
@@ -168,6 +170,51 @@ class TestCheckHyponormality:
             assert operator_hypo_block(*fam.shifts).shape == (4 * r, 4 * r)
 
 
+class TestBatchedKernels:
+    """The stacked shift residual, commutator and spectral norms against the
+    loops they replace, within 1e-14 of the scale of their operands."""
+
+    @staticmethod
+    def _families():
+        # exact and noisy factors of n = 1..3 measures; noise makes the residual large
+        rng = np.random.default_rng(21)
+        for n, d, r in ((1, 3, 2), (2, 3, 4), (3, 2, 3), (3, 4, 4)):
+            atoms = _separated_atoms(rng, n, r)
+            seq = pd.brute_moments_paired(atoms, rng.uniform(0.2, 1.5, r), n=n, d=d)
+            x = linalg.psd_root_factor(moment_matrix(seq, d).matrix)
+            for noise in (0.0, 1e-3):
+                noisy = x + noise * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+                labels = enumerate_indices(n, d)
+                yield noisy, labels, compute_shifts(noisy, labels, linalg.column_basis(noisy),
+                                                    CONJUGATE, tol=np.inf)
+
+    def test_residual_matches_the_column_loop(self):
+        for x, labels, fam in self._families():
+            n, d = len(labels[0]), max(map(sum, labels))
+            worst = 0.0
+            for k, t in enumerate(fam.shifts, 1):
+                for i, j in enumerate(layout(n, d).shift(unit_index(n, k), d - 1)):
+                    worst = max(worst, np.linalg.norm(t @ x[:, i] - x[:, j]) / np.linalg.norm(x))
+            assert abs(fam.residual - worst) <= 1e-14  # both relative to ||x||
+
+    def test_commutator_matches_the_pair_loop(self):
+        rng = np.random.default_rng(22)
+        random_ops = [rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+                      for _ in range(4)]
+        cases = [random_ops] + [fam.shifts + [t.conj().T for t in fam.shifts]
+                                for _, _, fam in self._families()]
+        for ops in cases:
+            loop = max(np.linalg.norm(a @ b - b @ a) for i, a in enumerate(ops) for b in ops[i + 1:])
+            scale = max(np.linalg.norm(a) for a in ops) ** 2
+            assert abs(extraction._max_commutator(ops) - loop) <= 1e-14 * scale
+
+    def test_norms_match_each_spectral_norm(self):
+        for _, _, fam in self._families():
+            np.testing.assert_allclose(fam.norms, [np.linalg.norm(t, 2) for t in fam.shifts],
+                                       rtol=1e-14, atol=0)
+            assert fam.norms is fam.norms  # computed once per family
+
+
 class TestSimultaneousDiagonalize:
     def test_example3_printed_combination(self):
         from momext.extraction import ShiftFamily, _unitary_diagonalizer
@@ -227,7 +274,8 @@ class TestExtractMeasure:
     @pytest.mark.parametrize("hankel", [False, True])
     def test_each_moment_matrix_gathered_once(self, monkeypatch, hankel):
         # the sequence keeps M_t next to its decompositions; the extraction
-        # and its ranks read it from there
+        # and its ranks read it from there, and the leading M_t are slices
+        # of the gathered M_d
         from momext import moment
         from momext.interp import sample_grid
 
@@ -243,9 +291,10 @@ class TestExtractMeasure:
         monkeypatch.setattr(moment, "moment_matrix", counting)
         _, rep = extract_measure(seq, dk=1)
         assert rep.certification == "certified"
-        assert sorted(orders) == list(range(seq.d + 1))
+        assert orders == [seq.d]
         assert seq.matrix(seq.d) is seq.matrix(seq.d)
-        assert not seq.matrix(seq.d).matrix.flags.writeable
+        for t in range(seq.d + 1):
+            assert not seq.matrix(t).matrix.flags.writeable
 
     def test_one_takagi_of_the_hankel_matrix_in_transpose_mode(self, monkeypatch):
         # H_2 is 6x6 for n = 2: its Takagi factorization gives both the rank

@@ -53,6 +53,43 @@ class TestHermitianEig:
         np.testing.assert_allclose(vals, [0.0, 2.0], atol=1e-9)
 
 
+class TestHermitianEigvals:
+    """The values-only solver against `hermitian_eig`, whose values it replaces."""
+
+    def test_matches_hermitian_eig(self):
+        rng = np.random.default_rng(5)
+        for n in (0, 1, 2, 5, 11, 24, 80):
+            b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            # indefinite and Hermitian up to 1e-12: both read the Hermitian part
+            a = b @ b.conj().T - 0.5 * n * np.eye(n) + 1e-12 * b
+            vals = linalg.hermitian_eigvals(a, 1e-9)
+            ref = linalg.hermitian_eig(a, 1e-9).values
+            assert vals.shape == ref.shape == (n,) and vals.dtype == ref.dtype == float
+            assert np.all(np.abs(vals - ref) <= 1e-13 * np.linalg.norm(a))
+            assert np.all(np.diff(vals) >= 0.0)
+
+    @pytest.mark.parametrize("a, error", [
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitian),
+        (np.array([[2.0]]) + 1j, NotHermitian),
+        (np.ones((2, 3)), ValueError),
+        (np.ones(3), ValueError),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), ValueError),
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), ValueError),
+    ])
+    def test_raises_what_hermitian_eig_raises(self, a, error):
+        for solver in (linalg.hermitian_eig, linalg.hermitian_eigvals):
+            with pytest.raises(error):
+                solver(a, 1e-9)
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(NoConvergence):
+            linalg.hermitian_eigvals(np.eye(3), 1e-9)
+
+
 class TestNumericRank:
     def test_example_spectrum(self):
         assert linalg.numeric_rank([0, 0, 6], 1e-8) == 1

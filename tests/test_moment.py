@@ -13,7 +13,9 @@ from momext.moment import (
     enumerate_indices,
     hankel_matrix,
     hyponormality_block,
+    hyponormality_grid,
     index_add,
+    layout,
     localizing_matrix,
     moment_matrix,
     read_sequence,
@@ -202,6 +204,34 @@ class TestClassifyStructure:
                 flags = classify_structure(m, tol=1e-3)
                 assert [flags.hankel, flags.toeplitz] == _first_of_key_reference(m, 1e-3)
 
+    def test_entries_just_within_and_just_beyond_tol(self):
+        # one entry of a key shared by several entries moves by tol * (1 -+ 1e-6),
+        # in a complex direction: the layout's tables and the brute-force rule
+        # agree on both sides of tol
+        rng = np.random.default_rng(11)
+        labels, tol = enumerate_indices(2, 3), 1e-3
+        for which, key in enumerate((_sum_key, _difference_key)):
+            base = _keyed(rng, labels, key)
+            keys = [key(a, b) for a in labels for b in labels]
+            shared = [k for k, value in enumerate(keys) if keys.count(value) > 1]
+            for flat in rng.choice(shared, size=4, replace=False):
+                for factor, agrees in ((1 - 1e-6, True), (1 + 1e-6, False)):
+                    m = base.matrix.astype(complex)
+                    m.flat[flat] += factor * tol * np.exp(2j * np.pi * rng.uniform())
+                    moved = MomentMatrix(m, labels, labels)
+                    flags = classify_structure(moved, tol)
+                    reference = _first_of_key_reference(moved, tol)
+                    assert [flags.hankel, flags.toeplitz] == reference
+                    assert reference[which] == agrees
+
+    def test_rejects_labels_of_no_layout(self):
+        labels = enumerate_indices(2, 2)
+        m = np.eye(len(labels))
+        swapped = labels[:1] + labels[2:3] + labels[1:2] + labels[3:]
+        for rows, cols in ((labels[::-1], labels[::-1]), (labels, swapped), (swapped, swapped)):
+            with pytest.raises(ValueError):
+                classify_structure(MomentMatrix(m, rows, cols))
+
     def test_codes_of_many_variables_do_not_overflow(self):
         # 40 variables: the sum keys alone take 3**40 > 2**63 mixed-radix codes
         rng = np.random.default_rng(10)
@@ -276,6 +306,47 @@ class TestHyponormalityBlock:
     def test_gap_too_large(self):
         with pytest.raises(OrderTooSmall):
             hyponormality_block(pd.ex1_seq(), dk=3)
+
+
+def _cellwise_block(seq, dk):
+    """The hyponormality block gathered one cell at a time and joined by np.block."""
+    h = seq.d - dk
+    lay = layout(seq.n, seq.d)
+    return np.block([[seq.read(lay.shift(gamma, h)[:, None], lay.shift(delta, h), seq.d)
+                      for gamma, delta in row] for row in hyponormality_grid(seq.n)])
+
+
+class TestOneGatherBlock:
+    """`hyponormality_block`'s single gather against the cell-by-cell one."""
+
+    @pytest.mark.parametrize("mode", ["paired", "hankel"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_cellwise_block(self, n, mode):
+        d = 3
+        seq = _random_sequence(np.random.default_rng(40 + n), n, d, mode)
+        for dk in range(1, d + 1):
+            np.testing.assert_array_equal(hyponormality_block(seq, dk).matrix,
+                                          _cellwise_block(seq, dk))
+
+    @pytest.mark.parametrize("mode", ["paired", "hankel"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_removed_moment_raises_the_cellwise_key(self, n, mode):
+        # at gap 1 the block reads every key, so each removal raises; with two
+        # keys removed, both gathers name the first one in cell order
+        d = 3
+        rng = np.random.default_rng(50 + n)
+        seq = _random_sequence(rng, n, d, mode)
+        keys = list(seq.values)
+        for count in (1, 1, 2, 2, 2, 2):
+            drop = {keys[k] for k in rng.choice(len(keys), size=count, replace=False)}
+            holed = MomentSequence(n=n, d=d, mode=mode, values={
+                key: v for key, v in seq.values.items() if key not in drop})
+            with pytest.raises(MissingMoment) as want:
+                _cellwise_block(holed, 1)
+            with pytest.raises(MissingMoment) as got:
+                hyponormality_block(holed, 1)
+            assert want.value.key in drop
+            assert got.value.key == want.value.key
 
 
 def _unit(n, k):

@@ -5,9 +5,11 @@ extraction of random atomic measures) and of the by-hand expsum_roundtrip
 draw (Takagi-based interpolation of random exponential sums), at seeds 1 and
 7: 2,400 instances. Each line holds the label and either the class name of
 the error the instance raised or the SHA-256 of the hex floats of its atoms
-and weights (of its terms' weights and frequencies, for expsum). The sibling
-of `tools/solver_fingerprints.py`: these digests change with the last bit of
-any atom, weight or frequency.
+and weights (of its terms' weights and frequencies, for expsum). A
+conjugate-mode extraction's line then gives its certification and its ranks
+of M_0 .. M_d, so a flipped certification or rank decision shows too. The
+sibling of `tools/solver_fingerprints.py`: these digests change with the
+last bit of any atom, weight or frequency.
 
 Usage, from the root of a checkout:
 
@@ -28,6 +30,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from momext.errors import MomextError  # noqa: E402
+from momext.extraction import CONJUGATE, extract_measure  # noqa: E402
 
 import workloads  # noqa: E402  (read only: the two draws and their float lists)
 
@@ -38,6 +41,23 @@ ROUNDS = 200
 def digest(workload, out):
     """SHA-256 of the workload's exact hex text of every float in out."""
     return hashlib.sha256(workload.fingerprint(out).encode()).hexdigest()
+
+
+def line(workload, inst):
+    """The instance's digest, or the class name of the error it raised.
+
+    measure_roundtrip runs its workload's extraction, as `execute` does,
+    to keep the report that `execute` drops.
+    """
+    try:
+        if isinstance(workload, workloads.MeasureRoundTrip):
+            measure, report = extract_measure(inst.data["seq"], dk=1, mode=CONJUGATE,
+                                              seed=inst.data["seed"])
+            ranks = " ".join(map(str, report.ranks))
+            return f"{digest(workload, measure)} {report.certification} ranks {ranks}"
+        return digest(workload, workload.execute(inst))
+    except MomextError as exc:
+        return type(exc).__name__
 
 
 def instances():
@@ -51,11 +71,7 @@ def instances():
 
 def main():
     for label, workload, inst in instances():
-        try:
-            line = digest(workload, workload.execute(inst))
-        except MomextError as exc:
-            line = type(exc).__name__
-        print(f"{label}: {line}", flush=True)
+        print(f"{label}: {line(workload, inst)}", flush=True)
     return 0
 
 

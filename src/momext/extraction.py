@@ -41,7 +41,6 @@ from .moment import (
     _write_records,
     classify_structure,
     hyponormality_block,
-    hyponormality_grid,
     layout,
     localizing_matrix,
     moment_matrix,  # unused here; perfbench's tracer test checks it is rebound in this module
@@ -209,8 +208,10 @@ class ExtractionReport:
 def check_flatness(seq, d=None, dk=1, tol=1e-7):
     """Ranks of the nested moment matrices M_0(y) .. M_d(y).
 
-    Paired (Hermitian) data is ranked through the eigenvalues of each M_t
-    (`seq.eig(t)`); Hankel data is complex symmetric, so its rank comes
+    Paired (Hermitian) data is ranked through the eigenvalues of each M_t:
+    M_d's from its kept decomposition (`seq.eig(d)`), whose vectors the root
+    factor reads, and every leading M_t's from its values-only spectrum
+    (`seq.eigvals(t)`). Hankel data is complex symmetric, so its rank comes
     from the singular values (`seq.takagi(t)`).
 
     M_d is ranked by `numeric_rank`. Let delta be the largest magnitude it
@@ -229,7 +230,7 @@ def check_flatness(seq, d=None, dk=1, tol=1e-7):
     def magnitudes(t):
         if seq.mode == "hankel":
             return seq.takagi(t).values
-        return np.abs(seq.eig(t).values)
+        return np.abs(seq.eig(t).values if t == d else seq.eigvals(t))
 
     top = magnitudes(d)
     r_d = linalg.numeric_rank(top, tol)
@@ -293,18 +294,15 @@ def operator_hypo_block(*shifts):
     (r, s) is S_s^* S_r, with S_0 = I and S_k the k-th shift, so n shifts
     give one (n+1) x (n+1) grid of cells (2x2 for one shift).
     """
-    k = len(shifts)
-    eye = np.eye(shifts[0].shape[0], dtype=complex)
-    ops = {(0,) * k: eye} | {unit_index(k, i): t for i, t in enumerate(shifts, 1)}
-
-    def cell(gamma, delta):  # S_gamma^* S_delta; a product with I is not formed
-        left, right = ops[gamma], ops[delta]
-        if left is eye:
-            return right
-        return left.conj().T if right is eye else left.conj().T @ right
-
-    return np.block([[cell(gamma, delta) for gamma, delta in row]
-                     for row in hyponormality_grid(k)])
+    ts = np.asarray(shifts, dtype=complex)
+    k, r = ts.shape[:2]
+    # cells[i, j] = S_j^* S_i; products with I are placed, not formed
+    cells = np.empty((k + 1, k + 1, r, r), dtype=complex)
+    cells[1:, 1:] = ts[None].conj().swapaxes(2, 3) @ ts[:, None]
+    cells[0, 0] = np.eye(r)
+    cells[1:, 0] = ts
+    cells[0, 1:] = ts.conj().swapaxes(1, 2)
+    return cells.swapaxes(1, 2).reshape((k + 1) * r, (k + 1) * r)
 
 
 def _max_commutator(ops):
@@ -347,8 +345,10 @@ def _unitary_diagonalizer(a, offdiag_tol):
 
 def _off_diagonal(e, norm, tol):
     """True when the off-diagonal part of e = P^bullet a P exceeds tol * max(1, norm),
-    norm being ||a||_2."""
-    return np.linalg.norm(e - np.diag(np.diag(e))) > tol * max(1.0, norm)
+    norm being ||a||_2. A stack of matrices e with one norm each gives one
+    decision each, from one vectorized comparison."""
+    off = np.where(np.eye(e.shape[-1], dtype=bool), 0.0, e)
+    return np.linalg.norm(off, axis=(-2, -1)) > tol * np.maximum(1.0, norm)
 
 
 def _orthogonal_diagonalizer(a, offdiag_tol):
@@ -380,9 +380,8 @@ def simultaneous_diagonalize(shifts, seed=0, tol=1e-8):
     collisions or isotropic eigenvectors, up to DIAG_ATTEMPTS draws.
     Returns (P, coords) with coords[k] the diagonal of P^bullet T_{k+1} P.
     """
-    ts = [np.asarray(t, dtype=complex) for t in shifts.shifts]
-    n = len(ts)
-    r = ts[0].shape[0]
+    ts = np.asarray(shifts.shifts, dtype=complex)
+    n, r = ts.shape[:2]
     if r == 1:
         return np.eye(1, dtype=complex), [np.array([t[0, 0]]) for t in ts]
     rng = np.random.default_rng(seed)
@@ -407,10 +406,10 @@ def simultaneous_diagonalize(shifts, seed=0, tol=1e-8):
         dmin = gaps[~np.eye(r, dtype=bool)].min()
         if dmin < 1e-6 * spread:
             continue
-        es = [bullet @ mk @ p for mk in ts]
-        if any(_off_diagonal(e, norm, max(tol, 1e-6)) for e, norm in zip(es, shifts.norms)):
+        es = bullet @ ts @ p  # es[k] = P^bullet T_{k+1} P
+        if _off_diagonal(es, shifts.norms, max(tol, 1e-6)).any():
             continue
-        return p, [np.diag(e).copy() for e in es]
+        return p, list(np.diagonal(es, axis1=1, axis2=2).copy())
     if last_isotropic:
         raise IsotropicEigenvector(
             "bilinear normalization kept hitting isotropic eigenvectors"
@@ -581,8 +580,7 @@ def verify_measure(measure, seq):
     weights = np.asarray(measure.weights, dtype=complex)
 
     def powers(z, lay):  # (labels, atoms): prod_i z_i ** label_i
-        exps = np.array(lay.labels)
-        return np.prod(z[None, :, :] ** exps[:, None, :], axis=2)
+        return np.prod(z[None, :, :] ** lay.exponents[:, None, :], axis=2)
 
     if seq.mode == "paired":
         lay = layout(seq.n, seq.d)

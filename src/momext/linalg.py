@@ -67,9 +67,13 @@ def _eigh(a, values_only=False):
 
 
 def _hermitian_part(a, tol):
-    """(a + a^*)/2 of a finite square matrix a whose asymmetry passes `tol`."""
+    """(a + a^*)/2 of a finite square matrix a whose asymmetry passes `tol`.
+
+    An infinite `tol` passes every matrix, so its test is not run.
+    """
     a = _as_complex_matrix(a)
-    _check_hermitian(a, tol)
+    if tol < np.inf:
+        _check_hermitian(a, tol)
     return (a + a.conj().T) / 2.0
 
 
@@ -112,16 +116,16 @@ def numeric_rank(eigenvalues, tol=DEFAULT_RANK_TOL):
 
 
 def _phase_normalize_rows(x, eps):
-    """Scale each row by a unimodular factor so the leading entry is >= 0."""
-    x = x.copy()
-    for i in range(x.shape[0]):
-        row = x[i]
-        idx = np.nonzero(np.abs(row) > eps)[0]
-        if idx.size == 0:
-            continue
-        lead = row[idx[0]]
-        x[i] = row * (np.conj(lead) / abs(lead))
-    return x
+    """Scale each row by a unimodular factor so its leading entry (the first
+    above eps in magnitude) is >= 0; a row with no such entry stays as it is."""
+    above = np.abs(x) > eps
+    lead = x[np.arange(x.shape[0]), np.argmax(above, axis=1)]
+    has_lead = above.any(axis=1)
+    # np.hypot is the magnitude abs() gives a complex scalar; np.abs of a
+    # complex array may differ from it in the last bit
+    magnitude = np.where(has_lead, np.hypot(lead.real, lead.imag), 1.0)
+    # rows without a lead get no factor at all, so their signed zeros survive
+    return np.where(has_lead[:, None], x * (np.conj(lead) / magnitude)[:, None], x)
 
 
 def psd_root_factor(a, tol=1e-8, rank_tol=DEFAULT_RANK_TOL, eig=None):

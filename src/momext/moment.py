@@ -139,6 +139,13 @@ class Layout:
         return table
 
     @functools.cached_property
+    def exponents(self):
+        """(N, n) integer array of the labels, row p the exponents of labels[p]."""
+        table = np.array(self.labels)
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
     def sums(self):
         """(N, N) table of the positions in layout(n, 2d) of labels[p] + labels[q]."""
         big = layout(self.n, 2 * self.d)
@@ -150,17 +157,17 @@ class Layout:
     def first_of_sum(self):
         """(N, N) table: per entry (p, q), the row-major flat index of the first
         entry (p', q') with labels[p'] + labels[q'] == labels[p] + labels[q]."""
-        return _first_of_key(self.labels, np.add)
+        return _first_of_key(self.exponents, np.add)
 
     @functools.cached_property
     def first_of_difference(self):
         """(N, N) table as `first_of_sum`, for labels[p] - labels[q]."""
-        return _first_of_key(self.labels, np.subtract)
+        return _first_of_key(self.exponents, np.subtract)
 
 
 def _first_of_key(labels, op):
-    """Read-only (N, N) table of `first_of_sum`'s kind for the key op(labels[p], labels[q])."""
-    labels = np.array(labels)
+    """Read-only (N, N) table of `first_of_sum`'s kind for the key op(labels[p], labels[q]),
+    `labels` an (N, n) exponent array."""
     keys = op(labels[:, None, :], labels[None, :, :]).reshape(-1, labels.shape[1])
     # the sort behind return_index is stable, so `first` is each key's first entry
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
@@ -204,7 +211,10 @@ class MomentSequence:
     given. A key beyond order d raises ValueError. Graded-lex labels make
     the matrices of every order gathers from `array` through `read`.
     `matrix(t)` builds each M_t once, and `eig(t)` and `takagi(t, tol)`
-    decompose it once, for every caller.
+    decompose it once, for every caller. `eigvals(t)` keeps a values-only
+    spectrum of M_t apart from `eig(t)`, for callers that read ranks alone:
+    neither is read from the other, so no value depends on which was asked
+    for first.
     """
 
     n: int
@@ -230,8 +240,8 @@ class MomentSequence:
         self.present = np.zeros(self.array.size, dtype=bool)
         self.present[slots] = True
         self.array.flags.writeable = self.present.flags.writeable = False
-        # t: MomentMatrix, t: EigResult, t: (checked tol, TakagiResult)
-        self._matrices, self._eigs, self._takagis = {}, {}, {}
+        # t: MomentMatrix, t: EigResult, t: eigenvalues, t: (checked tol, TakagiResult)
+        self._matrices, self._eigs, self._eigvals, self._takagis = {}, {}, {}, {}
 
     def matrix(self, t):
         """`moment_matrix(self, t)`, built once per order t; its matrix is read-only.
@@ -257,6 +267,14 @@ class MomentSequence:
         if t not in self._eigs:
             self._eigs[t] = _frozen(linalg.hermitian_eig(self.matrix(t).matrix, tol=np.inf))
         return self._eigs[t]
+
+    def eigvals(self, t):
+        """`linalg.hermitian_eigvals(M_t(y), tol=np.inf)`, computed once per order t; read-only."""
+        if t not in self._eigvals:
+            values = linalg.hermitian_eigvals(self.matrix(t).matrix, tol=np.inf)
+            values.flags.writeable = False
+            self._eigvals[t] = values
+        return self._eigvals[t]
 
     def takagi(self, t, tol=np.inf):
         """`linalg.takagi(M_t(y), tol)`, reusing a kept result checked at tol or more strictly."""

@@ -29,6 +29,7 @@ from momext.extraction import (
 from momext.moment import (
     MomentSequence,
     enumerate_indices,
+    hyponormality_grid,
     index_count,
     layout,
     moment_matrix,
@@ -215,6 +216,74 @@ class TestBatchedKernels:
             assert fam.norms is fam.norms  # computed once per family
 
 
+def _cellwise_operator_block(*shifts):
+    """The operator block as `np.block` of its cells S_s^* S_r (S_0 = I), one at a time."""
+    k = len(shifts)
+    eye = np.eye(shifts[0].shape[0], dtype=complex)
+    ops = {(0,) * k: eye} | {unit_index(k, i): t for i, t in enumerate(shifts, 1)}
+
+    def cell(gamma, delta):  # S_gamma^* S_delta; a product with I is not formed
+        left, right = ops[gamma], ops[delta]
+        if left is eye:
+            return right
+        return left.conj().T if right is eye else left.conj().T @ right
+
+    return np.block([[cell(gamma, delta) for gamma, delta in row]
+                     for row in hyponormality_grid(k)])
+
+
+def _shift_off_diagonal(e, norm, tol):
+    """The off-diagonal test of one matrix e, as `simultaneous_diagonalize` ran it per shift."""
+    return np.linalg.norm(e - np.diag(np.diag(e))) > tol * max(1.0, norm)
+
+
+class TestStackedTests:
+    """The stacked operator block and off-diagonal test against the loops they replace."""
+
+    def test_operator_block_equals_the_cellwise_block_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3):
+            for r in (1, 2, 5):
+                complex_shifts = [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+                                  for _ in range(n)]
+                real_shifts = [rng.standard_normal((r, r)).astype(complex) for _ in range(n)]
+                negated = [-t for t in real_shifts]  # imaginary parts -0.0
+                for shifts in (complex_shifts, real_shifts, negated):
+                    got = extraction.operator_hypo_block(*shifts)
+                    want = _cellwise_operator_block(*shifts)
+                    assert got.shape == want.shape == ((n + 1) * r, (n + 1) * r)
+                    assert np.array_equal(got, want)
+                    for part in ("real", "imag"):
+                        assert np.array_equal(np.signbit(getattr(got, part)),
+                                              np.signbit(getattr(want, part)))
+
+    def test_off_diagonal_decisions_match_the_shift_loop(self):
+        # each off-diagonal part is scaled to a factor of the threshold
+        # tol * max(1, norm), just below and just above it among others
+        rng = np.random.default_rng(24)
+        tol = 1e-6
+        factors = (1 - 1e-9, 1 + 1e-9, 0.5, 2.0, 1 - 1e-6, 1 + 1e-6)
+        decided = set()
+        for n, r in ((1, 2), (2, 3), (3, 4), (3, 6)):
+            for _ in range(20):
+                norms = rng.uniform(0.2, 5.0, n)  # both sides of max(1, norm)
+                es = np.empty((n, r, r), dtype=complex)
+                for k in range(n):
+                    off = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+                    off[np.diag_indices(r)] = 0.0
+                    scale = rng.choice(factors) * tol * max(1.0, norms[k]) / np.linalg.norm(off)
+                    diag = np.diag(rng.standard_normal(r) + 1j * rng.standard_normal(r))
+                    es[k] = diag + scale * off
+                loop = [_shift_off_diagonal(e, norm, tol) for e, norm in zip(es, norms)]
+                got = extraction._off_diagonal(es, norms, tol)
+                assert got.shape == (n,) and list(got) == loop
+                assert got.any() == any(loop)
+                assert [bool(extraction._off_diagonal(e, norm, tol))
+                        for e, norm in zip(es, norms)] == loop
+                decided.update(loop)
+        assert decided == {False, True}
+
+
 class TestSimultaneousDiagonalize:
     def test_example3_printed_combination(self):
         from momext.extraction import ShiftFamily, _unitary_diagonalizer
@@ -270,6 +339,35 @@ class TestExtractMeasure:
         _, rep = extract_measure(seq, dk=1)
         assert rep.certification == "certified"
         assert sizes.count(10) == 1
+
+    def test_leading_moment_matrices_are_ranked_from_values_alone(self, monkeypatch):
+        # M_d's eigenvectors give the root factor; M_0 .. M_{d-1} only give ranks
+        seq = pd.brute_moments_paired(pd.EX3_ATOMS, [0.3, 0.7], n=2, d=3)
+        calls = {"hermitian_eig": [], "hermitian_eigvals": []}
+
+        def recording(name):  # linalg.<name>, appending each matrix it is passed
+            original = getattr(linalg, name)
+
+            def wrapper(a, *args, **kwargs):
+                calls[name].append(a)
+                return original(a, *args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(linalg, name, recording(name))
+        _, rep = extract_measure(seq, dk=1)
+        assert rep.certification == "certified"
+
+        def orders(name):  # the order t of each M_t(y) passed to linalg.<name>
+            return [t for a in calls[name] for t in range(seq.d + 1) if a is seq.matrix(t).matrix]
+
+        assert orders("hermitian_eig") == [seq.d] and len(calls["hermitian_eig"]) == 1
+        assert sorted(orders("hermitian_eigvals")) == list(range(seq.d))
+        for seen in calls.values():
+            seen.clear()
+        assert check_flatness(seq, seq.d, 1, Tolerances().rank_tol).ranks == rep.ranks
+        assert calls == {"hermitian_eig": [], "hermitian_eigvals": []}
 
     @pytest.mark.parametrize("hankel", [False, True])
     def test_each_moment_matrix_gathered_once(self, monkeypatch, hankel):

@@ -90,6 +90,63 @@ class TestHermitianEigvals:
             linalg.hermitian_eigvals(np.eye(3), 1e-9)
 
 
+class TestHermitianPart:
+    @pytest.mark.parametrize("a", [
+        np.ones((2, 3)),
+        np.ones(3),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, np.inf], [np.inf, 1.0]]),
+    ])
+    def test_an_infinite_tolerance_still_checks_shape_and_finiteness(self, a):
+        with pytest.raises(ValueError):
+            linalg._hermitian_part(a, np.inf)
+
+    def test_an_infinite_tolerance_accepts_any_asymmetry(self):
+        a = np.array([[1.0, 4.0], [0.0, 1.0j]])
+        np.testing.assert_array_equal(linalg._hermitian_part(a, np.inf),
+                                      [[1.0, 2.0], [2.0, 0.0]])
+        with pytest.raises(NotHermitian):
+            linalg._hermitian_part(a, 1e-9)
+
+
+def _rowwise_phase_normalize(x, eps):
+    """`_phase_normalize_rows` one row at a time, as the reference."""
+    x = x.copy()
+    for i in range(x.shape[0]):
+        row = x[i]
+        idx = np.nonzero(np.abs(row) > eps)[0]
+        if idx.size == 0:
+            continue
+        lead = row[idx[0]]
+        x[i] = row * (np.conj(lead) / abs(lead))
+    return x
+
+
+class TestPhaseNormalizeRows:
+    def test_equals_the_row_loop_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        eps = 1e-13
+        x = rng.standard_normal((9, 6)) + 1j * rng.standard_normal((9, 6))
+        x[0] = 0.0                                            # zero row
+        x[1] = np.array([-0.0, 0.0, -0.0, 0.0, -0.0, 0.0]) * (1 - 1j)  # signed zeros
+        x[2] = 1e-14 * (rng.standard_normal(6) - 1j)          # every entry below eps
+        x[3, :2] = 0.0                                        # lead in the third column
+        x[3, 2] = -2.5                                        # negative real lead
+        x[4, 0] = -1.5j                                       # imaginary lead
+        x[5, :3] = 1e-14                                      # entries below eps before the lead
+        x[6] = rng.standard_normal(6)                         # real row
+        x[7, 0] = complex(-0.0, -2.0)                         # imaginary lead, real part -0
+        x[8, 0] = complex(-3.0, -0.0)
+        for rows in (x, np.asfortranarray(x), x[:, ::-1], x.real.astype(complex), x[:1], x[2:3]):
+            got = linalg._phase_normalize_rows(rows, eps)
+            want = _rowwise_phase_normalize(rows, eps)
+            assert np.array_equal(got, want)
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(got, part)),
+                                      np.signbit(getattr(want, part)))
+        assert linalg._phase_normalize_rows(x, eps) is not x
+
+
 class TestNumericRank:
     def test_example_spectrum(self):
         assert linalg.numeric_rank([0, 0, 6], 1e-8) == 1

@@ -39,6 +39,15 @@ class TestEnumerateIndices:
     def test_count(self):
         assert len(enumerate_indices(3, 2)) == 10
 
+    def test_layout_exponents_are_one_read_only_table(self):
+        for n, d in ((1, 3), (2, 2), (3, 4)):
+            lay = layout(n, d)
+            assert lay.exponents is lay.exponents
+            np.testing.assert_array_equal(lay.exponents, np.array(lay.labels))
+            assert lay.exponents.shape == (len(lay.labels), n) and lay.exponents.dtype.kind == "i"
+            with pytest.raises(ValueError):
+                lay.exponents[0, 0] = 1
+
 
 class TestMomentMatrix:
     def test_example5_entry(self):
@@ -498,6 +507,22 @@ class TestKeptDecompositions:
         assert seq.eig(3) is seq.eig(3)
         with pytest.raises(ValueError):
             seq.eig(3).values[0] = 0.0  # shared between callers, so read-only
+
+    def test_eigvals_are_kept_per_order_apart_from_eig(self, monkeypatch):
+        seq = pd.brute_moments_paired(pd.EX3_ATOMS, [0.3, 0.7], n=2, d=3)
+        expected = {t: linalg.hermitian_eigvals(moment_matrix(seq, t).matrix, np.inf)
+                    for t in (1, 2)}
+        values_only = _recording(monkeypatch, "hermitian_eigvals")
+        full = _recording(monkeypatch, "hermitian_eig")
+        seq.eig(2)
+        for t in (2, 1, 2, 1):
+            np.testing.assert_array_equal(seq.eigvals(t), expected[t])
+        assert values_only == [(6, np.inf), (3, np.inf)] and full == [(6, np.inf)]
+        seq.eig(1)  # the kept values do not serve a full decomposition either
+        assert full == [(6, np.inf), (3, np.inf)]
+        assert seq.eigvals(1) is seq.eigvals(1)
+        with pytest.raises(ValueError):
+            seq.eigvals(1)[0] = 0.0  # shared between callers, so read-only
 
     def test_takagi_is_served_by_a_factorization_checked_as_strictly(self, monkeypatch):
         seq = sample_grid(pd.ex7_model(), 2)

@@ -118,12 +118,17 @@ def _tolerances(args):
         raise BadCommandLine(f"bad tolerance option: {exc}") from None
 
 
-def _add_common(p):
+def _add_report(p):
+    """--format and --seed, of the commands that print a Report (`check` and
+    `sample` extract nothing and ignore the seed)."""
     p.add_argument("--format", choices=("text", "structured"), default="text",
                    help="report style (structured is machine-parsable)")
-    p.add_argument("--out", default=None, help="output artifact path")
     p.add_argument("--seed", type=int, default=0,
                    help="PRNG seed for the random shift combination (default 0)")
+
+
+def _add_out(p):
+    p.add_argument("--out", default=None, help="output artifact path")
 
 
 def _add_tolerances(p):
@@ -409,10 +414,7 @@ def cmd_export_sdpa(args):
 
 
 def cmd_import_solution(args):
-    problem = hierarchy.parse_problem(args.problem)
-    _, rmap = hierarchy.assemble_relaxation(
-        problem, args.order, enforce_hyponormality=args.enforce_hypo
-    )
+    rmap = hierarchy.relaxation_map(hierarchy.parse_problem(args.problem), args.order)
     with open(args.solution) as fh:
         seq = hierarchy.import_solution(fh.read(), rmap)
     _write_or_print(sequence_to_text(seq), args.out)
@@ -435,14 +437,15 @@ def build_parser():
     p.add_argument("--order", type=int, default=None, help="truncation order (default: file order)")
     p.add_argument("--gap", type=int, default=1, help="certification gap dK (default 1)")
     p.add_argument("--mode", choices=("auto", "conjugate", "transpose"), default="auto")
-    _add_common(p)
+    _add_report(p)
+    _add_out(p)
     _add_tolerances(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("check", help="read-only diagnostics of a moment-sequence file")
     p.add_argument("sequence")
     p.add_argument("--gap", type=int, default=1)
-    _add_common(p)
+    _add_report(p)
     _add_tolerances(p)
     p.set_defaults(func=cmd_check)
 
@@ -454,7 +457,8 @@ def build_parser():
     p.add_argument("--max-iterations", type=int, default=100)
     p.add_argument("--gap-tol", type=float, default=1e-8)
     p.add_argument("--feas-tol", type=float, default=1e-8)
-    _add_common(p)
+    _add_report(p)
+    _add_out(p)
     _add_tolerances(p)
     p.set_defaults(func=cmd_solve)
 
@@ -463,14 +467,16 @@ def build_parser():
     p.add_argument("--model", default=None, help="generate the samples from this model instead")
     p.add_argument("--sample", type=int, default=None, help="sampling order used with --model")
     p.add_argument("--dmax", type=int, default=None)
-    _add_common(p)
+    _add_report(p)
+    _add_out(p)
     _add_tolerances(p)
     p.set_defaults(func=cmd_interpolate)
 
     p = sub.add_parser("sample", help="sample a model on the integer grid")
     p.add_argument("model")
     p.add_argument("--order", type=int, required=True)
-    _add_common(p)
+    _add_report(p)
+    _add_out(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("signal", help="tabulate a model on a real grid (CSV)")
@@ -478,22 +484,21 @@ def build_parser():
     p.add_argument("--range", action="append", required=True,
                    help="start:stop:count, once per variable")
     p.add_argument("--part", choices=("real", "imag", "abs"), default="real")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_signal)
 
     p = sub.add_parser("export-sdpa", help="write a relaxation in SDPA sparse format")
     p.add_argument("problem")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--enforce-hypo", action="store_true")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_export_sdpa)
 
     p = sub.add_parser("import-solution", help="turn an external solver vector into a moment-sequence file")
     p.add_argument("problem")
     p.add_argument("solution")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--enforce-hypo", action="store_true")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_import_solution)
 
     return parser

@@ -30,7 +30,6 @@ from .moment import (
     hyponormality_grid,
     index_count,
     layout,
-    moment_matrix,
 )
 
 __all__ = [
@@ -40,10 +39,10 @@ __all__ = [
     "SDPBlock",
     "SDPProblem",
     "parse_problem",
+    "relaxation_map",
     "assemble_relaxation",
     "realify",
     "export_sdpa",
-    "read_sdpa",
     "import_solution",
 ]
 
@@ -121,33 +120,6 @@ class RelaxationMap:
                   for a, row in zip(self.indices, rows) for b, v in zip(self.indices, row)}
         return MomentSequence(n=self.n, d=self.d, mode="paired", values=values)
 
-    def values_from_sequence(self, seq):
-        """Moment sequence -> solver vector (inverse of sequence_from_values)."""
-        x = np.zeros(self.n_vars)
-        if self.mode == "hermitian":
-            m = moment_matrix(seq, self.d).matrix
-            v = (m + m.conj().T) / 2.0  # v[b,a] is exactly conj(v[a,b])
-            strict = np.triu_indices(len(self.indices), 1)
-            x[self.var[..., 0]] = v.real
-            x[self.var[..., 1][strict]] = v[strict].imag
-        else:
-            for i, s in enumerate(layout(self.n, 2 * self.d).labels):
-                beta = _split_index(s, self.d)
-                alpha = tuple(si - bi for si, bi in zip(s, beta))
-                x[i] = complex(seq.get(alpha, beta)).real
-        return x
-
-
-def _split_index(s, d):
-    """Some beta <= s componentwise with |beta| <= d and |s - beta| <= d."""
-    budget = d
-    beta = []
-    for si in s:
-        take = min(si, budget)
-        beta.append(take)
-        budget -= take
-    return tuple(beta)
-
 
 # ----------------------------------------------------------------- problem
 
@@ -164,11 +136,6 @@ class SDPBlock:
     entry: np.ndarray
     var: np.ndarray
     coeff: np.ndarray
-
-    def evaluate(self, x):
-        m = np.zeros(self.size * self.size, dtype=np.result_type(self.const, self.coeff))
-        np.add.at(m, self.entry, np.asarray(x)[self.var] * self.coeff)
-        return self.const + m.reshape(self.size, self.size)
 
     def unknowns(self):
         """(var, entry, coeff) of each unknown, in block order."""
@@ -314,6 +281,16 @@ def _functional(rmap, terms):
     return acc
 
 
+def relaxation_map(problem, d):
+    """The RelaxationMap of the order-d relaxation; OrderTooSmall below d_K
+    or the objective's order."""
+    for what, need in (("constraint", problem.d_K), ("objective", problem.objective_order)):
+        if d < need:
+            raise OrderTooSmall(
+                f"order-{d} relaxation is not defined: {what} degree needs d >= {need}")
+    return RelaxationMap(problem.n, d, real_vars=problem.real_vars)
+
+
 def assemble_relaxation(problem, d, enforce_hyponormality=False):
     """Moment relaxation of order d as an SDP over the flattened moments.
 
@@ -324,11 +301,7 @@ def assemble_relaxation(problem, d, enforce_hyponormality=False):
     matching the strongest data-level condition expressible at order d.
     """
     n = problem.n
-    for what, need in (("constraint", problem.d_K), ("objective", problem.objective_order)):
-        if d < need:
-            raise OrderTooSmall(
-                f"order-{d} relaxation is not defined: {what} degree needs d >= {need}")
-    rmap = RelaxationMap(n, d, real_vars=problem.real_vars)
+    rmap = relaxation_map(problem, d)
     zero = (0,) * n
     blocks = [_shifted_block("moment", rmap, d, [[[(zero, zero, 1.0)]]])]
     eq_rows = []
@@ -477,54 +450,8 @@ def export_sdpa(sdp):
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class SdpaText:
-    n_vars: int
-    block_sizes: list
-    objective: np.ndarray
-    entries: dict  # matno -> list of (blkno, i, j, value)
-
-
-def read_sdpa(text):
-    """Parse SDPA sparse text back into its structural pieces."""
-    body = [ln.strip() for ln in text.splitlines() if ln.strip()[:1] not in ("", '"', "*")]
-    if len(body) < 4:
-        raise FormatError("truncated SDPA input")
-    try:
-        m = int(body[0].split()[0])
-        nblocks = int(body[1].split()[0])
-        sizes = [int(tok) for tok in body[2].replace(",", " ").replace("{", " ")
-                 .replace("}", " ").replace("(", " ").replace(")", " ").split()]
-        objective = np.array([float(tok) for tok in body[3].replace(",", " ").split()])
-    except (ValueError, IndexError):
-        raise FormatError("malformed SDPA header") from None
-    if len(sizes) != nblocks:
-        raise FormatError(f"expected {nblocks} block sizes, got {len(sizes)}")
-    if objective.size != m:
-        raise FormatError(f"expected {m} objective entries, got {objective.size}")
-    entries = {}
-    for ln in body[4:]:
-        toks = ln.replace(",", " ").split()
-        if len(toks) != 5:
-            raise FormatError(f"malformed entry line {ln!r}")
-        try:
-            matno, blkno, i, j = (int(t) for t in toks[:4])
-            value = float(toks[4])
-        except ValueError:
-            raise FormatError(f"malformed entry line {ln!r}") from None
-        if not (0 <= matno <= m) or not (1 <= blkno <= nblocks):
-            raise FormatError(f"entry indices out of range in {ln!r}")
-        size = sizes[blkno - 1]
-        if not (1 <= i <= abs(size) and 1 <= j <= abs(size)) or (size < 0 and i != j):
-            raise FormatError(f"entry outside its block in {ln!r}")
-        entries.setdefault(matno, []).append((blkno, i, j, value))
-    return SdpaText(n_vars=m, block_sizes=sizes, objective=objective, entries=entries)
-
-
 def import_solution(text, rmap):
     """Whitespace-separated solver vector -> Hermitian MomentSequence."""
-    if not isinstance(text, str):
-        text = text.read()
     try:
         x = np.array([float(tok) for tok in text.split()])
     except ValueError:

@@ -10,6 +10,7 @@ extraction in transpose mode, with no Vandermonde solve.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,11 +165,7 @@ def emit_signal(model, ranges, which="real"):
 
     names = [f"z{i + 1}" for i in range(model.n)]
     lines = [",".join(names + [which])]
-    if model.n == 1:
-        points = ((t,) for t in axes[0])
-    else:
-        points = ((t1, t2) for t1 in axes[0] for t2 in axes[1])
-    for pt in points:
+    for pt in itertools.product(*axes):
         val = pick(eval_expsum(model, pt))
         row = [format(float(c), ".12g") for c in pt] + [format(float(val), ".12g")]
         lines.append(",".join(row))

@@ -7,14 +7,15 @@ with its mirror image and with the moments of the extracted measure).
 """
 
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 
 from momext import linalg
-from momext.errors import AtomAtZero
+from momext.errors import AtomAtZero, FormatError
 from momext.hierarchy import SDPBlock
 from momext.interp import ExpSumModel, ExpTerm
-from momext.moment import MomentSequence, enumerate_indices
+from momext.moment import MomentSequence, enumerate_indices, layout, moment_matrix
 
 log = logging.getLogger(__name__)
 
@@ -326,6 +327,86 @@ def block_from_dense(name, size, const, coeffs):
     return SDPBlock(name, size, np.asarray(const), np.concatenate(entry),
                     np.repeat(list(coeffs), [len(e) for e in entry]),
                     np.concatenate([m[e] for m, e in zip(mats, entry)]))
+
+
+def evaluate(block, x):
+    """The matrix const + sum_i x_i A_i of an SDPBlock at the unknowns x."""
+    m = np.zeros(block.size * block.size, dtype=np.result_type(block.const, block.coeff))
+    np.add.at(m, block.entry, np.asarray(x)[block.var] * block.coeff)
+    return block.const + m.reshape(block.size, block.size)
+
+
+def values_from_sequence(rmap, seq):
+    """Moment sequence -> solver vector of a RelaxationMap (inverse of
+    rmap.sequence_from_values)."""
+    x = np.zeros(rmap.n_vars)
+    if rmap.mode == "hermitian":
+        m = moment_matrix(seq, rmap.d).matrix
+        v = (m + m.conj().T) / 2.0  # v[b,a] is exactly conj(v[a,b])
+        strict = np.triu_indices(len(rmap.indices), 1)
+        x[rmap.var[..., 0]] = v.real
+        x[rmap.var[..., 1][strict]] = v[strict].imag
+    else:
+        for i, s in enumerate(layout(rmap.n, 2 * rmap.d).labels):
+            beta = _split_index(s, rmap.d)
+            alpha = tuple(si - bi for si, bi in zip(s, beta))
+            x[i] = complex(seq.get(alpha, beta)).real
+    return x
+
+
+def _split_index(s, d):
+    """Some beta <= s componentwise with |beta| <= d and |s - beta| <= d."""
+    budget = d
+    beta = []
+    for si in s:
+        take = min(si, budget)
+        beta.append(take)
+        budget -= take
+    return tuple(beta)
+
+
+@dataclass
+class SdpaText:
+    n_vars: int
+    block_sizes: list
+    objective: np.ndarray
+    entries: dict  # matno -> list of (blkno, i, j, value)
+
+
+def read_sdpa(text):
+    """Parse SDPA sparse text back into its structural pieces."""
+    body = [ln.strip() for ln in text.splitlines() if ln.strip()[:1] not in ("", '"', "*")]
+    if len(body) < 4:
+        raise FormatError("truncated SDPA input")
+    try:
+        m = int(body[0].split()[0])
+        nblocks = int(body[1].split()[0])
+        sizes = [int(tok) for tok in body[2].replace(",", " ").replace("{", " ")
+                 .replace("}", " ").replace("(", " ").replace(")", " ").split()]
+        objective = np.array([float(tok) for tok in body[3].replace(",", " ").split()])
+    except (ValueError, IndexError):
+        raise FormatError("malformed SDPA header") from None
+    if len(sizes) != nblocks:
+        raise FormatError(f"expected {nblocks} block sizes, got {len(sizes)}")
+    if objective.size != m:
+        raise FormatError(f"expected {m} objective entries, got {objective.size}")
+    entries = {}
+    for ln in body[4:]:
+        toks = ln.replace(",", " ").split()
+        if len(toks) != 5:
+            raise FormatError(f"malformed entry line {ln!r}")
+        try:
+            matno, blkno, i, j = (int(t) for t in toks[:4])
+            value = float(toks[4])
+        except ValueError:
+            raise FormatError(f"malformed entry line {ln!r}") from None
+        if not (0 <= matno <= m) or not (1 <= blkno <= nblocks):
+            raise FormatError(f"entry indices out of range in {ln!r}")
+        size = sizes[blkno - 1]
+        if not (1 <= i <= abs(size) and 1 <= j <= abs(size)) or (size < 0 and i != j):
+            raise FormatError(f"entry outside its block in {ln!r}")
+        entries.setdefault(matno, []).append((blkno, i, j, value))
+    return SdpaText(n_vars=m, block_sizes=sizes, objective=objective, entries=entries)
 
 
 def prony_univariate(samples, tol=1e-8):

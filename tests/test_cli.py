@@ -8,7 +8,7 @@ import pytest
 from momext.cli import _parser, build_parser, main
 from momext.extraction import read_measure
 from momext.interp import ExpSumModel, ExpTerm, read_model, write_model
-from momext.moment import read_sequence, write_sequence
+from momext.moment import read_sequence, sequence_to_text, write_sequence
 
 import paperdata as pd
 
@@ -309,6 +309,32 @@ class TestSdpaCommands:
         assert code == 21
 
 
+    def test_import_reads_the_variable_map_alone(self, tmp_path, monkeypatch):
+        from momext import hierarchy
+
+        sdp, rmap = hierarchy.assemble_relaxation(hierarchy.parse_problem(demo("torus.pop")), 3)
+        x = np.random.default_rng(4).standard_normal(sdp.n_vars)
+        sol_path = str(tmp_path / "y.txt")
+        with open(sol_path, "w") as fh:
+            fh.write(" ".join(format(v, ".17g") for v in x))
+
+        def assemble(*args, **kwargs):
+            raise AssertionError("a relaxation was assembled")
+
+        monkeypatch.setattr(hierarchy, "assemble_relaxation", assemble)
+        code, text = run(["import-solution", demo("torus.pop"), sol_path, "--order", "3"])
+        assert code == 0
+        assert text == sequence_to_text(rmap.sequence_from_values(x))
+
+    def test_import_below_the_constraint_order_exits_order_too_small(self, tmp_path, capsys):
+        sol_path = str(tmp_path / "y.txt")
+        with open(sol_path, "w") as fh:
+            fh.write("1 2 3")
+        code, out = run(["import-solution", demo("torus.pop"), sol_path, "--order", "2"])
+        assert (code, out) == (5, "")
+        assert capsys.readouterr().err.startswith("momext: OrderTooSmall: ")
+
+
 class TestErrorMapping:
     def test_bad_sequence_file(self, tmp_path):
         path = str(tmp_path / "bad.momseq")
@@ -438,6 +464,22 @@ class TestErrorMapping:
                     run(argv + option)
                 assert exc.value.code == 2
                 assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_each_command_rejects_the_options_it_does_not_read(self, capsys):
+        model = demo("example7.expsum")
+        unread = [(argv, option)
+                  for argv in (["signal", model, "--range", "0:1:2", "--range", "0:1:2"],
+                               ["export-sdpa", demo("torus.pop"), "--order", "3"],
+                               ["import-solution", demo("torus.pop"), "y.txt", "--order", "3"])
+                  for option in (["--format", "structured"], ["--seed", "1"])]
+        unread += [(["check", demo("roots_of_unity.momseq")], ["--out", "x"]),
+                   (["import-solution", demo("torus.pop"), "y.txt", "--order", "3"],
+                    ["--enforce-hypo"])]
+        for argv, option in unread:
+            with pytest.raises(SystemExit) as exc:
+                run(argv + option)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_signal_rejects_missing_ranges_and_negative_counts(self, capsys):
         model = demo("example7.expsum")  # two variables

@@ -14,7 +14,6 @@ from momext.hierarchy import (
     export_sdpa,
     import_solution,
     parse_problem,
-    read_sdpa,
     realify,
 )
 from momext.moment import (
@@ -98,10 +97,10 @@ class TestAssembleRelaxation:
         seq = pd.brute_moments_paired(atoms, weights, n=2, d=3)
         for enforce in (False, True):
             sdp, rmap = assemble_relaxation(p, 3, enforce_hyponormality=enforce)
-            x = rmap.values_from_sequence(seq)
+            x = pd.values_from_sequence(rmap, seq)
             x = x / x[rmap.var[0, 0, 0]]  # normalize y[0,0] = 1
             for block in sdp.blocks:
-                m = block.evaluate(x)
+                m = pd.evaluate(block, x)
                 vals, _ = linalg.hermitian_eig((m + m.conj().T) / 2, tol=1e-6)
                 assert vals[0] >= -5e-4 * max(1.0, abs(vals[-1]))
             resid = sdp.eq_a @ x - sdp.eq_b
@@ -203,7 +202,7 @@ class TestBlocksMatchDataSide:
                  for _ in range(3)]
         seq = pd.brute_moments_paired(atoms, rng.uniform(0.2, 1.0, 3), n=n, d=d)
         sdp, rmap = assemble_relaxation(problem, d, enforce_hyponormality=True)
-        x = rmap.values_from_sequence(seq)
+        x = pd.values_from_sequence(rmap, seq)
         expected = {"moment": moment_matrix(seq, d).matrix}
         for ci, con in enumerate(problem.constraints):
             expected[f"localizing:{ci}"] = localizing_matrix(seq, con.poly, d).matrix
@@ -211,7 +210,7 @@ class TestBlocksMatchDataSide:
         expected[name] = hyponormality_block(seq, 1).matrix
         assert [b.name for b in sdp.blocks] == list(expected)
         for block in sdp.blocks:
-            np.testing.assert_allclose(block.evaluate(x), expected[block.name],
+            np.testing.assert_allclose(pd.evaluate(block, x), expected[block.name],
                                        rtol=0, atol=1e-12)
 
 
@@ -222,7 +221,7 @@ class TestRelaxationMap:
         x = rng.standard_normal(rmap.n_vars)
         seq = rmap.sequence_from_values(x)
         assert seq.is_hermitian(1e-14)
-        np.testing.assert_allclose(rmap.values_from_sequence(seq), x, atol=1e-14)
+        np.testing.assert_allclose(pd.values_from_sequence(rmap, seq), x, atol=1e-14)
 
     def test_hankel_real_round_trip(self):
         rmap = RelaxationMap(2, 2, real_vars=True)
@@ -233,7 +232,7 @@ class TestRelaxationMap:
 
         flags = classify_structure(moment_matrix(seq, 2), tol=1e-12)
         assert flags.hankel and flags.hermitian
-        np.testing.assert_allclose(rmap.values_from_sequence(seq), x, atol=1e-14)
+        np.testing.assert_allclose(pd.values_from_sequence(rmap, seq), x, atol=1e-14)
 
     def test_variable_count(self):
         # Hermitian d=2, n=2: 21 real + 15 imaginary unknowns
@@ -244,7 +243,7 @@ class TestRelaxationMap:
     def test_sequence_to_values_to_sequence_identity(self):
         rmap = RelaxationMap(2, 3)
         seq = pd.ex3_seq()
-        back = rmap.sequence_from_values(rmap.values_from_sequence(seq))
+        back = rmap.sequence_from_values(pd.values_from_sequence(rmap, seq))
         for key, v in seq.values.items():
             assert abs(complex(back.values[key]) - complex(v)) <= 1e-12
 
@@ -292,9 +291,9 @@ class TestRealify:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(sdp.n_vars)
         for cb, rb in zip(sdp.blocks, real.blocks):
-            m = cb.evaluate(x)
+            m = pd.evaluate(cb, x)
             vals, _ = linalg.hermitian_eig((m + m.conj().T) / 2, tol=1e-6)
-            rvals = np.linalg.eigvalsh(rb.evaluate(x))
+            rvals = np.linalg.eigvalsh(pd.evaluate(rb, x))
             assert abs(vals[0] - rvals[0]) <= 1e-10 * max(1, abs(vals[0]))
 
 
@@ -318,7 +317,7 @@ class TestSdpaText:
         p = parse_problem(demo("ellipse_reduced.pop"))
         sdp, _ = assemble_relaxation(p, 2, enforce_hyponormality=True)
         real = realify(sdp)
-        parsed = read_sdpa(export_sdpa(real))
+        parsed = pd.read_sdpa(export_sdpa(real))
         assert parsed.n_vars == real.n_vars
         expected_sizes = [b.size for b in real.blocks] + [-2 * real.eq_a.shape[0]]
         assert parsed.block_sizes == expected_sizes
@@ -333,7 +332,7 @@ class TestSdpaText:
         x = rng.standard_normal(rmap.n_vars)
         text = " ".join(format(v, ".17g") for v in x)
         seq = import_solution(text, rmap)
-        np.testing.assert_allclose(rmap.values_from_sequence(seq), x, atol=1e-14)
+        np.testing.assert_allclose(pd.values_from_sequence(rmap, seq), x, atol=1e-14)
 
     def test_import_errors(self):
         p = parse_problem(demo("ellipse.pop"))
@@ -345,19 +344,19 @@ class TestSdpaText:
 
     def test_read_sdpa_rejects_garbage(self):
         with pytest.raises(FormatError):
-            read_sdpa("2\n1\n")
+            pd.read_sdpa("2\n1\n")
         with pytest.raises(FormatError):
-            read_sdpa("1\n1\n2\n1.0\n0 1 1\n")
+            pd.read_sdpa("1\n1\n2\n1.0\n0 1 1\n")
 
     @pytest.mark.parametrize("entry", ["1 1 9 9 1.0", "0 1 0 -3 2.0", "1 1 0 1 1.0",
                                        "1 1 1 3 1.0", "1 2 1 2 1.0", "1 2 3 3 1.0"])
     def test_read_sdpa_rejects_entries_outside_their_block(self, entry):
         # block 1 is 2x2; block 2 is diagonal of size 2
         header = "1\n2\n2 -2\n1.0\n"
-        assert read_sdpa(header + "1 1 1 2 1.0\n1 2 2 2 1.0\n").entries[1] == [
+        assert pd.read_sdpa(header + "1 1 1 2 1.0\n1 2 2 2 1.0\n").entries[1] == [
             (1, 1, 2, 1.0), (2, 2, 2, 1.0)]
         with pytest.raises(FormatError):
-            read_sdpa(header + entry + "\n")
+            pd.read_sdpa(header + entry + "\n")
 
     @pytest.mark.parametrize("name, order, enforce", [
         ("ellipse.pop", 3, True), ("torus.pop", 3, False), ("triangle.pop", 3, True)])
@@ -366,7 +365,7 @@ class TestSdpaText:
                                      enforce_hyponormality=enforce)
         real = realify(sdp)
         got = {}  # (blkno, matno, i, j) -> value over both triangles, 0-based i and j
-        for matno, items in read_sdpa(export_sdpa(real)).entries.items():
+        for matno, items in pd.read_sdpa(export_sdpa(real)).entries.items():
             for blkno, i, j, v in items:
                 assert i <= j  # the upper triangle only
                 got[blkno, matno, i - 1, j - 1] = got[blkno, matno, j - 1, i - 1] = v

@@ -5,7 +5,7 @@ import pytest
 
 from momext.hierarchy import SDPProblem, assemble_relaxation, parse_problem, realify
 from momext.sdp import MU_DIVERGED, SolveOptions, _reduced_blocks, _step_lengths, solve
-from paperdata import block_from_dense
+from paperdata import block_from_dense, evaluate
 
 
 def lmi_problem(blocks, c, eq_a=None, eq_b=None, const=0.0):
@@ -73,7 +73,7 @@ class TestRandomInstances:
                 assert (abs(sol.primal_objective - sol.dual_objective)
                         <= 1e-8 * (1 + abs(sol.primal_objective)))
                 for block in problem.blocks:
-                    m = block.evaluate(sol.variables)
+                    m = evaluate(block, sol.variables)
                     lam = np.linalg.eigvalsh((m + m.T) / 2)[0]
                     assert lam >= -1e-6 * max(1.0, np.linalg.norm(m, 2))
         assert solved >= 38  # >= 95%

@@ -8,8 +8,8 @@ no shifts), `export-sdpa` of the torus, the ellipse, the enforced reduced
 ellipse and the enforced triangle, `sample`, `interpolate --model` and
 `signal` of Example 7, `check` and `extract` of its order-2 sample grid
 (Hankel data), plus `interpolate` without `--sample` and without any
-input (both exit as a bad command line), all with
-`--format structured --seed 0`.
+input (both exit as a bad command line), all but `export-sdpa` and `signal`
+with `--format structured --seed 0`.
 Each report is preceded by its command line and followed by its exit code
 and anything written to stderr. The last report is the exit-code table
 that `momext --help` ends with.
@@ -44,6 +44,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from momext import cli  # noqa: E402
 
 COMMON = ["--format", "structured", "--seed", "0"]
+PLAIN = {"export-sdpa", "signal"}  # commands that print no report and take no COMMON
 NUMBER_TOL = 1e-9
 INTEGER = re.compile(r"[+-]?\d+")
 MOMSEQ = "demo/roots_of_unity.momseq"
@@ -124,7 +125,8 @@ def main(argv=None):
         return compare(*args.compare)
     os.chdir(ROOT)
     for argv in COMMANDS:
-        argv = argv + COMMON
+        if argv[0] not in PLAIN:
+            argv = argv + COMMON
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)

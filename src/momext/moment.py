@@ -15,6 +15,7 @@ import contextlib
 import functools
 import io
 import math
+import os
 import types
 from dataclasses import dataclass, field
 
@@ -499,7 +500,7 @@ def _fmt(x):
 @contextlib.contextmanager
 def _sink(target):
     """A path (opened for writing, closed afterwards) or a file object."""
-    if isinstance(target, str):
+    if isinstance(target, (str, os.PathLike)):
         with open(target, "w") as fh:
             yield fh
     else:
@@ -507,8 +508,8 @@ def _sink(target):
 
 
 def _source_lines(source):
-    """Lines of a path (a one-line string), a text or a file object."""
-    if isinstance(source, str) and "\n" not in source:
+    """Lines of a path (an os.PathLike or a one-line string), a text or a file object."""
+    if isinstance(source, os.PathLike) or isinstance(source, str) and "\n" not in source:
         with open(source) as fh:
             return fh.read().splitlines()
     if isinstance(source, str):

@@ -9,8 +9,12 @@ Solves the LMI-form problem produced by the relaxation assembler:
 Equality rows are eliminated up front through a nullspace basis, which
 turns the blocks' sparse triplets into dense coefficient stacks; the
 reduced pure-LMI problem is then solved by an infeasible-start Mehrotra
-predictor-corrector on the HKM direction, with the Schur complement
-factored by Cholesky under adaptive diagonal regularization. Reported
+predictor-corrector on the Nesterov-Todd (NT) direction, in the scaled
+coordinates where X_j and Z_j are both diag(d_j) (`_nt_scaling`). There
+the Schur complement is the Gram matrix of the scaled coefficients,
+factored by Cholesky under adaptive diagonal regularization, and no
+inverse is formed. Once the gap is within tolerance the corrector takes
+sigma = 1: it holds mu, so only the residuals still shrink. Reported
 objectives: `primal_objective` is the moment-side value c.x, and
 `dual_objective` is the certificate-side lower bound; at every iterate the
 pair brackets the optimum up to the current residuals.
@@ -23,12 +27,14 @@ point outside the blocks, a solve that ends short of `optimal` with
 max(feas_p, feas_d) above 1e-4, whatever its gap, or iterates that run off
 with the residuals below it: mu rises MU_DIVERGED times its start). A
 stall means no further progress is possible: a certificate-side X_j lost
-definiteness to round-off, so X can take no step; a slack could not be
-factored; three steps in a row were tiny; or the iterates overflowed. A
-stalled solve returns the moment side (u and the primal value) of its
-last finite iterate, with the dual bound of the earlier iterate that
-brackets that value most tightly (the smallest max(gap, feas_p)); `gap`
-and `feasibility` describe that pair.
+definiteness to round-off, so X can take no step (at degenerate optima,
+once the Schur complement is numerically singular and the steps no longer
+reduce feas_p enough to close the gap); a slack could not be factored;
+three steps in a row were tiny; or the iterates overflowed. A stalled
+solve returns the moment side (u and the primal value) of its last finite
+iterate, with the dual bound of the earlier iterate that brackets that
+value most tightly (the smallest max(gap, feas_p)); `gap` and
+`feasibility` describe that pair.
 """
 
 from __future__ import annotations
@@ -142,25 +148,31 @@ def _slack_cholesky(z):
     return z, None
 
 
-def _step_lengths(x_chol, z_chol):
-    """(dx, dz) -> (ap, ad), the largest alphas in (0, 1] keeping every
-    X_j + ap dX_j and Z_j + ad dZ_j PSD, given the Cholesky factors L.
+def _nt_scaling(lx, lz):
+    """(G, d) with G^T Z G = G^-1 X G^-T = diag(d) for X = lx lx^T and
+    Z = lz lz^T: from the SVD lz^T lx = U diag(d) V^T, G = lx V diag(d)^-1/2."""
+    _, d, vt = np.linalg.svd(lz.T @ lx)
+    return (lx @ vt.T) / np.sqrt(d), d
 
-    Each M = L L^T gives lam = lambda_min(L^-1 dM L^-T), from one stacked
-    solve, solve and eigvalsh per matrix size. Its alpha, 1 for lam >= -1e-14
-    or NaN and else min(1, -1/lam), grows with lam: the smallest lam decides."""
-    nb, chols = len(x_chol), x_chol + z_chol
-    by_size = {}
-    for j, ell in enumerate(chols):
-        by_size.setdefault(ell.shape[0], []).append(j)
-    stacks = [(idx, np.stack([chols[j] for j in idx])) for idx in by_size.values()]
+
+def _step_lengths(ds):
+    """(dX~, dZ~) -> (ap, ad), the largest alphas in (0, 1] keeping every
+    D_j + ap dX~_j and D_j + ad dZ~_j PSD, for the scaled points D_j = diag(d_j).
+
+    Each gives lam = lambda_min(D^-1/2 dM D^-1/2), from one stacked eigvalsh
+    per matrix size. Its alpha, 1 for lam >= -1e-14 or NaN and else
+    min(1, -1/lam), grows with lam: the smallest lam decides."""
+    nb, by_size = len(ds), {}
+    roots = [1.0 / np.sqrt(d) for d in ds + ds]
+    for j, r in enumerate(roots):
+        by_size.setdefault(len(r), []).append(j)
+    scales = [(idx, np.stack([np.outer(roots[j], roots[j]) for j in idx]))
+              for idx in by_size.values()]
 
     def step_lengths(dx, dz):
         dms, lam = dx + dz, np.empty(2 * nb)
-        for idx, ell in stacks:
-            w = np.linalg.solve(ell, np.stack([dms[j] for j in idx]))
-            w = np.linalg.solve(ell, w.transpose(0, 2, 1)).transpose(0, 2, 1)
-            lam[idx] = np.linalg.eigvalsh((w + w.transpose(0, 2, 1)) / 2.0)[:, 0]
+        for idx, scale in scales:
+            lam[idx] = np.linalg.eigvalsh(np.stack([dms[j] for j in idx]) * scale)[:, 0]
         sides = (np.fmin.reduce(lam[:nb], initial=0.0), np.fmin.reduce(lam[nb:], initial=0.0))
         return tuple(1.0 if m >= -1e-14 else min(1.0, -1.0 / m) for m in sides)
 
@@ -207,8 +219,7 @@ def solve(sdp, opts=None):
     norm_c = max(1.0, float(np.linalg.norm(c_red)))
     norm_f0 = max([1.0] + [float(np.linalg.norm(cb)) for cb, _ in blocks])
     radius = max(10.0, norm_c, norm_f0)
-    # <A_k, M> = (flat @ M.ravel())[k]; the stacks are symmetric, so flat.T
-    # also stands for the transposed stack in the Schur complement
+    # <A_k, M> = (flat @ M.ravel())[k]
     flats = [stack.reshape(f, -1) for _, stack in blocks]
     nb = len(blocks)
 
@@ -225,9 +236,6 @@ def solve(sdp, opts=None):
     tiny_steps = 0
     it = 0
 
-    def dual_objective():
-        return -sum(blocks[bi][0].ravel() @ xs[bi].ravel() for bi in range(nb)) + const_off
-
     # one evaluation past the cap describes the iterate its last step made
     for it in range(1, opts.max_iterations + 2):
         # residuals: drive Z = S(u) and <A_jk, X_j> summed = c_k
@@ -236,7 +244,7 @@ def solve(sdp, opts=None):
         mu = sum(xs[bi].ravel() @ zs[bi].ravel() for bi in range(nb)) / total_n
 
         pobj = float(c_red @ u) + const_off
-        dobj = float(dual_objective())
+        dobj = float(-sum(cb.ravel() @ x.ravel() for (cb, _), x in zip(blocks, xs)) + const_off)
 
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         feas_p = float(np.linalg.norm(rp)) / norm_c
@@ -256,72 +264,61 @@ def solve(sdp, opts=None):
         if it > opts.max_iterations:
             break
 
-        # One Cholesky factor of each X_j and Z_j serves Zinv and all four
-        # step-length tests. An X_j that is no longer positive definite
-        # admits no step, so X could never move again; that, or a slack no
-        # ridge makes factorizable, is a stall.
+        # One Cholesky factor of each X_j and Z_j gives the NT scaling. An
+        # X_j that is no longer positive definite admits no step, so X could
+        # never move again; that, or a slack no ridge makes factorizable, is
+        # a stall.
         x_chol = [_cholesky(x) for x in xs]
-        z_chol = []
-        for bi in range(nb):
-            zs[bi], ell = _slack_cholesky(zs[bi])
-            z_chol.append(ell)
+        zs, z_chol = map(list, zip(*(_slack_cholesky(z) for z in zs)))
         if any(ell is None for ell in x_chol + z_chol):
             status = "stalled"
             break
-        step_lengths = _step_lengths(x_chol, z_chol)
-        zinv = [np.linalg.solve(ell.T, np.linalg.solve(ell, np.eye(ell.shape[0])))
-                for ell in z_chol]
-        zinv = [(inv + inv.T) / 2.0 for inv in zinv]
+        gs, ds = zip(*(_nt_scaling(lx, lz) for lx, lz in zip(x_chol, z_chol)))
+        step_lengths = _step_lengths(ds)
+        rdt = [g.T @ r @ g for g, r in zip(gs, rd)]  # scaled residuals Rd~_j
 
-        # Schur complement B[k,l] = sum_j tr(A_jk X_j A_jl Zinv_j)
-        schur = sum((x @ stack @ inv).reshape(f, -1) @ flat.T
-                    for x, (_, stack), inv, flat in zip(xs, blocks, zinv, flats))
+        # Schur complement B[k,l] = sum_j <A~_jk, A~_jl>, the Gram matrix of
+        # the scaled coefficients A~_jk = G_j^T A_jk G_j, formed one block at
+        # a time: the directions read <A~_jk, W> as <A_jk, G_j W G_j^T>
+        schur = 0.0
+        for g, (_, stack) in zip(gs, blocks):
+            scaled = (g.T @ stack @ g).reshape(f, -1)
+            schur = schur + scaled @ scaled.T
         schur = (schur + schur.T) / 2.0
-
-        chol = None
-        reg = 0.0
-        base = max(np.trace(schur) / f, 1.0)
-        for attempt in range(8):
+        reg, base = 0.0, max(np.trace(schur) / f, 1.0)
+        for _ in range(8):
             chol = _cholesky(schur + reg * np.eye(f))
             if chol is not None:
                 break
             reg = base * (1e-14 if reg == 0.0 else reg / base * 100)
-        if chol is None:
+        else:
             raise NumericalBreakdown("Schur complement not factorizable")
 
-        def schur_solve(v):
-            return np.linalg.solve(chol.T, np.linalg.solve(chol, v))
-
         def directions(sigma_mu, corr):
-            rhs = -rp
-            for bi in range(nb):
-                m = sigma_mu * zinv[bi] - xs[bi] - xs[bi] @ rd[bi] @ zinv[bi]
-                if corr is not None:
-                    m -= corr[bi] @ zinv[bi]
-                rhs = rhs + flats[bi] @ m.ravel()
-            # <A_k, dX> = rp_k  with dX = sigma*mu*Zinv - X - (X dZ + corr) Zinv
-            du = schur_solve(rhs)
-            dz = [(du @ flats[bi]).reshape(sizes[bi], sizes[bi]) + rd[bi] for bi in range(nb)]
-            dx = []
-            for bi in range(nb):
-                m = sigma_mu * zinv[bi] - xs[bi] - xs[bi] @ dz[bi] @ zinv[bi]
-                if corr is not None:
-                    m -= corr[bi] @ zinv[bi]
-                dx.append((m + m.T) / 2.0)
-            return du, dx, dz
+            # dX~ + dZ~ = T with (D T + T D)/2 = sigma*mu*I - D^2 - corr,
+            # entrywise; <A~_k, dX~> = rp_k with dZ~ = G^T dZ G, where
+            # dZ = sum_k du_k A_k + Rd
+            ts = [2.0 * (np.diag(sigma_mu - d * d) - c) / np.add.outer(d, d)
+                  for d, c in zip(ds, corr)]
+            rhs = sum(flat @ (g @ (t - r) @ g.T).ravel()
+                      for flat, g, t, r in zip(flats, gs, ts, rdt)) - rp
+            du = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+            dz = [g.T @ ((du @ flat).reshape(r.shape) + r) @ g
+                  for flat, g, r in zip(flats, gs, rd)]
+            dz = [(m + m.T) / 2.0 for m in dz]
+            return du, [t - m for t, m in zip(ts, dz)], dz
 
         # predictor
-        du_a, dx_a, dz_a = directions(0.0, None)
-        ap, ad = step_lengths(dx_a, dz_a)
-        mu_aff = sum(
-            (xs[bi] + ap * dx_a[bi]).ravel() @ (zs[bi] + ad * dz_a[bi]).ravel()
-            for bi in range(nb)
-        ) / total_n
+        du, dx, dz = directions(0.0, [0.0] * nb)
+        ap, ad = step_lengths(dx, dz)
+        mu_aff = sum((np.diag(d) + ap * a).ravel() @ (np.diag(d) + ad * b).ravel()
+                     for d, a, b in zip(ds, dx, dz)) / total_n
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
+        if gap <= opts.gap_tolerance:
+            sigma = 1.0  # hold mu: only the residuals are left to shrink
 
         # corrector
-        corr = [dx_a[bi] @ dz_a[bi] for bi in range(nb)]
-        du, dx, dz = directions(sigma * mu, corr)
+        du, dx, dz = directions(sigma * mu, [(m + m.T) / 2.0 for m in map(np.matmul, dx, dz)])
         ap, ad = step_lengths(dx, dz)
         ap, ad = min(STEP_DAMPING * ap, 1.0), min(STEP_DAMPING * ad, 1.0)
         steps.append((float(ap), float(ad), float(sigma), float(reg)))
@@ -335,8 +332,9 @@ def solve(sdp, opts=None):
             tiny_steps = 0
 
         for bi in range(nb):
-            xs[bi] = xs[bi] + ap * dx[bi]
-            zs[bi] = zs[bi] + ad * dz[bi]
+            m = gs[bi] @ dx[bi] @ gs[bi].T
+            xs[bi] = xs[bi] + ap * (m + m.T) / 2.0
+            zs[bi] = zs[bi] + ad * ((du @ flats[bi]).reshape(sizes[bi], sizes[bi]) + rd[bi])
         u = u + ad * du
 
     if status == "stalled":

@@ -184,11 +184,11 @@ class TestSolveCommand:
     def test_stalled_solves_still_extract(self):
         # these relaxations stall short of the residual target; the moments
         # of the last iterate still yield the minimizers
-        for name, atoms, flags in (("ellipse.pop", 2, []), ("torus.pop", 2, []),
-                                   ("triangle.pop", 3, []),
-                                   ("triangle.pop", 3, ["--enforce-hypo"])):
-            code, text = run(["solve", demo(name), "--order", "3", "--format", "structured",
-                              *flags])
+        for name, atoms, flags in (("ellipse.pop", 2, ["--order", "3"]),
+                                   ("torus.pop", 2, ["--order", "3"]),
+                                   ("triangle.pop", 3, ["--order", "3"]),
+                                   ("triangle.pop", 3, ["--order", "4", "--enforce-hypo"])):
+            code, text = run(["solve", demo(name), "--format", "structured", *flags])
             rows = dict(line.split(" ", 1) for line in text.strip().splitlines())
             assert code == 0, name
             assert rows["solver.status"] == "stalled", name

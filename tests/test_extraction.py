@@ -753,6 +753,14 @@ class TestMeasureIO:
             assert max(abs(x - y) for x, y in zip(a, b)) == 0.0
         np.testing.assert_allclose(back.weights, meas.weights)
 
+    def test_path_objects_read_and_write(self, tmp_path):
+        meas, _ = extract_measure(pd.ex3_seq(), dk=2, tol=PRINTED)
+        path = tmp_path / "m.measure"
+        write_measure(meas, path)
+        back = read_measure(path)
+        assert back.atoms == read_measure(str(path)).atoms and back.mode == meas.mode
+        np.testing.assert_array_equal(back.weights, read_measure(str(path)).weights)
+
     def test_empty_measure_round_trip(self, tmp_path):
         meas = AtomicMeasure([], [], CONJUGATE)
         path = str(tmp_path / "empty.measure")

@@ -1,4 +1,5 @@
 import os
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,10 @@ class TestParseProblem:
         assert all(c.kind == "eq" for c in p.constraints)
         assert p.d_K == 3
         assert all(c.poly.is_hermitian() for c in p.constraints)
+
+    def test_path_objects_are_read(self):
+        p = parse_problem(pathlib.Path(demo("torus.pop")))
+        assert (p.n, p.d_K, len(p.constraints)) == (1, 3, 3)
 
     def test_unconstrained_modulus(self):
         p = parse_problem("pop 1\nn 1\nminimize\nterm 1 1 1 0\n")

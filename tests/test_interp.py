@@ -294,6 +294,13 @@ class TestModelIO:
         back = read_model(path)
         assert_models_match(back, pd.ex7_model(), 0.0 + 1e-16)
 
+    def test_path_objects_read_and_write(self, tmp_path):
+        path = tmp_path / "m.expsum"
+        write_model(pd.ex7_model(), path)
+        back = read_model(path)
+        assert back == read_model(str(path))
+        assert_models_match(back, pd.ex7_model(), 0.0 + 1e-16)
+
     def test_parse_error(self):
         with pytest.raises(ParseError):
             read_model("expsum 1\nn 2\nterm 1 0 0.5\n")

@@ -579,6 +579,13 @@ class TestSequenceIO:
         back = read_sequence(path)
         assert complex(back.values[((2,), (2,))]) == 4.0
 
+    def test_path_objects_read_and_write(self, tmp_path):
+        path = tmp_path / "seq.momseq"
+        write_sequence(pd.ex1_seq(), path)
+        back = read_sequence(path)
+        assert back.values == read_sequence(str(path)).values
+        assert complex(back.values[((2,), (2,))]) == 4.0
+
     def test_parse_errors(self):
         with pytest.raises(ParseError):
             read_sequence("mode paired\nn 1\nd 1\ny 0 0 1 0\n")  # missing header

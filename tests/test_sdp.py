@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from momext.hierarchy import SDPProblem, assemble_relaxation, parse_problem, realify
-from momext.sdp import MU_DIVERGED, SolveOptions, _reduced_blocks, _step_lengths, solve
+from momext.sdp import (MU_DIVERGED, SolveOptions, _nt_scaling, _reduced_blocks,
+                        _step_lengths, solve)
 from paperdata import block_from_dense, evaluate
 
 
@@ -144,11 +145,15 @@ DEMO = os.path.join(os.path.dirname(__file__), "..", "demo")
 # order-3 relaxations whose certificate-side X loses definiteness to
 # round-off before the residual target is reached
 STALLING_DEMOS = [("ellipse.pop", 3), ("torus.pop", 3), ("triangle.pop", 3)]
+# the six solves of the README command lines: (file, order, enforce)
+README_SOLVES = [("ellipse.pop", 3, False), ("ellipse_reduced.pop", 2, False),
+                 ("ellipse_reduced.pop", 2, True), ("torus.pop", 3, False),
+                 ("torus.pop", 4, False), ("triangle.pop", 3, False)]
 
 
-def demo_relaxation(name, order):
+def demo_relaxation(name, order, enforce=False):
     problem = parse_problem(os.path.join(DEMO, name))
-    return realify(assemble_relaxation(problem, order)[0])
+    return realify(assemble_relaxation(problem, order, enforce_hyponormality=enforce)[0])
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +203,11 @@ class TestStall:
         assert (capped.primal_objective, capped.dual_objective) == (p, d)
         assert capped.gap == abs(p - d) / (1.0 + abs(p))
         assert capped.feasibility == max(feas_p, feas_d)
+
+    def test_readme_solves_take_at_most_100_iterations(self):
+        solutions = [solve(demo_relaxation(*args)) for args in README_SOLVES]
+        assert all(sol.status != "max_iter" for sol in solutions)
+        assert sum(sol.iterations for sol in solutions) <= 100
 
     def test_steps_explain_each_iterate(self, stalled_solutions):
         for name, sol in stalled_solutions.items():
@@ -313,6 +323,17 @@ class TestStepLengths:
                 out.append(10.0 ** rng.uniform(-2, 2) * symmetric(rng, nn))
         return out
 
+    @staticmethod
+    def scaled(x_chol, z_chol, dx, dz):
+        """The scaled points d_j and directions G^-1 dX G^-T and G^T dZ G."""
+        ds, dxt, dzt = [], [], []
+        for lx, lz, mx, mz in zip(x_chol, z_chol, dx, dz):
+            g, d = _nt_scaling(lx, lz)
+            ds.append(d)
+            dxt.append(np.linalg.solve(g, np.linalg.solve(g, mx).T).T)
+            dzt.append(g.T @ mz @ g)
+        return ds, dxt, dzt
+
     def test_stacked_test_equals_the_per_matrix_formula(self):
         rng = np.random.default_rng(29)
         for trial in range(120):
@@ -324,7 +345,8 @@ class TestStepLengths:
             dz = self.directions(rng, z_chol, kinds[(trial // 4) % 4])
             want = (min(max_step_reference(ell, d) for ell, d in zip(x_chol, dx)),
                     min(max_step_reference(ell, d) for ell, d in zip(z_chol, dz)))
-            assert _step_lengths(x_chol, z_chol)(dx, dz) == want
+            ds, dxt, dzt = self.scaled(x_chol, z_chol, dx, dz)
+            np.testing.assert_allclose(_step_lengths(ds)(dxt, dzt), want, rtol=1e-12, atol=0)
             if "random" not in (kinds[trial % 4], kinds[(trial // 4) % 4]):
                 assert want == (1.0, 1.0)
 
@@ -340,8 +362,26 @@ class TestStepLengths:
         with np.errstate(invalid="ignore"):
             want = (min(max_step_reference(ell, d) for ell, d in zip(x_chol, dx)),
                     min(max_step_reference(ell, d) for ell, d in zip(z_chol, dz)))
-            assert _step_lengths(x_chol, z_chol)(dx, dz) == want
+            ds, dxt, dzt = self.scaled(x_chol, z_chol, dx, dz)
+            np.testing.assert_allclose(_step_lengths(ds)(dxt, dzt), want, rtol=1e-12, atol=0)
         assert want[0] < 1.0 and want[1] == 1.0
+
+
+class TestNTScaling:
+    def test_scaled_points_are_one_diagonal(self):
+        # G^T Z G = G^-1 X G^-T = diag(d) for positive definite pairs whose
+        # eigenvalues spread down to 1e-12; the error bound is eps times
+        # 1e6, the square root of that spread, relative to the largest d
+        rng = np.random.default_rng(41)
+        for trial in range(200):
+            nn = 1 + trial % 8
+            x, z = (ill_conditioned_spd(rng, nn) for _ in range(2))
+            g, d = _nt_scaling(np.linalg.cholesky(x), np.linalg.cholesky(z))
+            assert d.shape == (nn,) and np.all(d > 0)
+            tol = np.finfo(float).eps * 1e6 * d.max()
+            np.testing.assert_allclose(g.T @ z @ g, np.diag(d), rtol=0, atol=tol)
+            np.testing.assert_allclose(np.linalg.solve(g, np.linalg.solve(g, x).T).T,
+                                       np.diag(d), rtol=0, atol=tol)
 
 
 def reduced_block_reference(block, x_p, nullspace):
@@ -379,3 +419,8 @@ class TestReducedBlocks:
             want_const, want_stack = reduced_block_reference(block, x_p, nullspace)
             assert np.array_equal(const, want_const)
             assert np.array_equal(stack, want_stack)
+
+
+def ill_conditioned_spd(rng, nn):
+    q, _ = np.linalg.qr(rng.standard_normal((nn, nn)))
+    return (q * 10.0 ** rng.uniform(-12, 0, nn)) @ q.T

@@ -27,6 +27,10 @@ changes from real ones. It requires the same lines with the same keys,
 statuses, exit codes and counts (every token that is not a number, and
 every integer), and lets the other numbers differ by up to 1e-9 absolute.
 It prints each line that breaks this and exits 1 if there is one.
+
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set, so that two
+checkouts compared on hosts with different core counts see the same
+summation order. An explicit setting wins.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import os
 import re
 import sys
 
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 

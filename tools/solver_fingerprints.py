@@ -13,6 +13,13 @@ Usage, from the root of a checkout:
 
 On one machine with one BLAS/LAPACK build, an empty `diff` of two
 checkouts' outputs shows that these solves are bit-identical.
+
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set: the summation
+order, and with it the last bits, can change with the thread count, so
+two checkouts compared on hosts with different core counts would differ
+for no reason in the code. An explicit setting wins, as in
+
+    OPENBLAS_NUM_THREADS=2 python3 tools/solver_fingerprints.py > fingerprints_2.txt
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import hashlib
 import os
 import sys
 
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
